@@ -48,7 +48,8 @@
 #      worker threads on both queue implementations, and every export
 #      (Chrome JSON, spans/timeline/series CSV) must be byte-identical
 #      to the 1-thread reference — thread count must never leak into
-#      results
+#      results; the 1- and 8-thread Chrome JSON must also pass
+#      vini_timeline validate
 #   6. clang-tidy over src/ and tools/ (skipped when not installed)
 #   7. full ctest suite under AddressSanitizer and UBSan builds, with
 #      the runtime shard-ownership check armed (-DVINI_SHARD_CHECK=ON)
@@ -207,7 +208,7 @@ stage "bench_engine --baseline BENCH_engine.json (>15% events/s regression fails
 # and is the reference; 2 and 8 must reproduce it exactly on both queue
 # implementations, and the two implementations must agree with each
 # other under sharding too.
-stage "vini_timeline --threads {1,2,8} export diff (sharded determinism)"
+stage "vini_timeline --threads {1,2,8} export diff + validate (sharded determinism)"
 for IMPL in heap calendar; do
   for T in 1 2 8; do
     (cd build-check && VINI_SMOKE=1 ./tools/vini_timeline export --seed 811 \
@@ -231,6 +232,10 @@ for EXT in json spans.csv timeline.csv series.csv; do
     echo "vini_timeline: heap/calendar diverge under the sharded engine ($EXT)"
     exit 1
   }
+done
+# The sharded path's JSON is parsed too, not only diffed.
+for T in 1 8; do
+  ./build-check/tools/vini_timeline validate "build-check/timeline-heap-t$T.json"
 done
 
 # --- 6. clang-tidy -----------------------------------------------------------

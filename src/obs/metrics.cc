@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
+
+#include "obs/export_writer.h"
 
 namespace vini::obs {
 
@@ -319,37 +322,34 @@ void MetricsRegistry::forEach(
 
 void MetricsRegistry::writeCsv(std::ostream& os) const {
   shard_.assertHeld();
-  os << "component,node,name,type,value\n";
+  ExportWriter w(os);
+  w.put("component,node,name,type,value\n");
   visitSorted([&](const MetricKey& key, const Metric& metric) {
+    auto row = [&](std::string_view type) -> ExportWriter& {
+      w.put(key.component).put(',').put(key.node).put(',').put(key.name);
+      return w.put(',').put(type);
+    };
     if (const Counter* c = std::get_if<Counter>(&metric)) {
-      os << key.component << "," << key.node << "," << key.name << ",counter,"
-         << c->value() << "\n";
+      row("counter,").putInt(c->value()).put('\n');
     } else if (const Gauge* g = std::get_if<Gauge>(&metric)) {
-      os << key.component << "," << key.node << "," << key.name << ",gauge,"
-         << g->value() << "\n";
+      row("gauge,").putG6(g->value()).put('\n');
     } else if (const Histogram* h = std::get_if<Histogram>(&metric)) {
-      os << key.component << "," << key.node << "," << key.name
-         << ",histogram_count," << h->count() << "\n";
-      os << key.component << "," << key.node << "," << key.name
-         << ",histogram_sum," << h->sum() << "\n";
-      os << key.component << "," << key.node << "," << key.name
-         << ",histogram_p50," << h->quantile(0.50) << "\n";
-      os << key.component << "," << key.node << "," << key.name
-         << ",histogram_p95," << h->quantile(0.95) << "\n";
-      os << key.component << "," << key.node << "," << key.name
-         << ",histogram_p99," << h->quantile(0.99) << "\n";
+      row("histogram_count,").putInt(h->count()).put('\n');
+      row("histogram_sum,").putG6(h->sum()).put('\n');
+      row("histogram_p50,").putG6(h->quantile(0.50)).put('\n');
+      row("histogram_p95,").putG6(h->quantile(0.95)).put('\n');
+      row("histogram_p99,").putG6(h->quantile(0.99)).put('\n');
       for (std::size_t i = 0; i < h->bucketCount(); ++i) {
-        os << key.component << "," << key.node << "," << key.name
-           << ",histogram_bucket";
         if (i < h->bounds().size()) {
-          os << "_le_" << h->upperBound(i);
+          row("histogram_bucket_le_").putG6(h->upperBound(i));
         } else {
-          os << "_overflow";
+          row("histogram_bucket_overflow");
         }
-        os << "," << h->bucketValue(i) << "\n";
+        w.put(',').putInt(h->bucketValue(i)).put('\n');
       }
     }
   });
+  w.flush();
 }
 
 void mergeRegistries(const std::vector<const MetricsRegistry*>& from,

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/export_writer.h"
 #include "obs/obs.h"
 #include "sim/event_queue.h"
 
@@ -342,17 +343,31 @@ std::vector<std::uint64_t> SpanTracker::traceIds() const {
   return ids;
 }
 
+bool SpanTracker::hasUnfoldedLaneOps() const {
+  for (const LaneState& state : lane_states_) {
+    if (!state.ops.empty()) return true;
+  }
+  return false;
+}
+
 void SpanTracker::writeCsv(std::ostream& os) const {
   shard_.assertHeld();
-  os << "trace_id,span_id,root,layer,node,link,t_open_ns,t_close_ns,dur_ns,"
-        "outcome,reason,bytes\n";
-  for (const auto& rec : records_) {
-    os << rec.trace_id << ',' << rec.span_id << ',' << (rec.root ? 1 : 0)
-       << ',' << name(rec.layer) << ',' << name(rec.node) << ','
-       << name(rec.link) << ',' << rec.t_open << ',' << rec.t_close << ','
-       << rec.duration() << ',' << spanOutcomeName(rec.outcome) << ','
-       << name(rec.reason) << ',' << rec.bytes << '\n';
+  if (hasUnfoldedLaneOps()) {
+    throw std::logic_error(
+        "obs: SpanTracker::writeCsv() before Obs::foldShardLanes()");
   }
+  ExportWriter w(os);
+  w.put("trace_id,span_id,root,layer,node,link,t_open_ns,t_close_ns,dur_ns,"
+        "outcome,reason,bytes\n");
+  for (const auto& rec : records_) {
+    w.putInt(rec.trace_id).put(',').putInt(rec.span_id).put(',');
+    w.put(rec.root ? '1' : '0').put(',').put(name(rec.layer)).put(',');
+    w.put(name(rec.node)).put(',').put(name(rec.link)).put(',');
+    w.putInt(rec.t_open).put(',').putInt(rec.t_close).put(',');
+    w.putInt(rec.duration()).put(',').put(spanOutcomeName(rec.outcome));
+    w.put(',').put(name(rec.reason)).put(',').putInt(rec.bytes).put('\n');
+  }
+  w.flush();
 }
 
 void SpanTracker::clear() {

@@ -195,6 +195,11 @@ class SpanTracker {
   /// Trace ids with at least one completed span, ascending.
   std::vector<std::uint64_t> traceIds() const;
 
+  /// True while lane buffers (main pseudo-lane included) hold ops
+  /// foldShardLanes() has not replayed yet; the exports throw
+  /// std::logic_error then.
+  bool hasUnfoldedLaneOps() const;
+
   /// "trace_id,span_id,root,layer,node,link,t_open_ns,t_close_ns,dur_ns,
   ///  outcome,reason,bytes" rows in close order.
   void writeCsv(std::ostream& os) const;

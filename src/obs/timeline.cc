@@ -1,11 +1,12 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 
+#include "obs/export_writer.h"
 #include "sim/event_queue.h"
 
 namespace vini::obs {
@@ -109,13 +110,26 @@ const std::string& Timeline::labelName(std::int16_t id) const {
   return labels_[static_cast<std::size_t>(id)];
 }
 
+bool Timeline::hasUnfoldedLaneOps() const {
+  for (const auto& ops : lane_ops_) {
+    if (!ops.empty()) return true;
+  }
+  return false;
+}
+
 void Timeline::writeCsv(std::ostream& os) const {
   shard_.assertHeld();
-  os << "track,label,t_ns,dur_ns\n";
-  for (const auto& ev : events_) {
-    os << trackName(ev.track) << ',' << labelName(ev.label) << ',' << ev.t
-       << ',' << ev.dur << '\n';
+  if (hasUnfoldedLaneOps()) {
+    throw std::logic_error(
+        "obs: Timeline::writeCsv() before Obs::foldShardLanes()");
   }
+  ExportWriter w(os);
+  w.put("track,label,t_ns,dur_ns\n");
+  for (const auto& ev : events_) {
+    w.put(trackName(ev.track)).put(',').put(labelName(ev.label)).put(',');
+    w.putInt(ev.t).put(',').putInt(ev.dur).put('\n');
+  }
+  w.flush();
 }
 
 void Timeline::clear() {
@@ -212,15 +226,16 @@ const MetricSampler::Series* MetricSampler::find(
 
 void MetricSampler::writeCsv(std::ostream& os) const {
   shard_.assertHeld();
-  os << "component,node,name,t_ns,value\n";
-  char buf[32];
+  ExportWriter w(os);
+  w.put("component,node,name,t_ns,value\n");
   for (const auto& s : series_) {
     for (const auto& p : s.points) {
-      std::snprintf(buf, sizeof(buf), "%.6g", p.value);
-      os << s.key.component << ',' << s.key.node << ',' << s.key.name << ','
-         << p.t << ',' << buf << '\n';
+      w.put(s.key.component).put(',').put(s.key.node).put(',');
+      w.put(s.key.name).put(',').putInt(p.t).put(',').putG6(p.value);
+      w.put('\n');
     }
   }
+  w.flush();
 }
 
 void MetricSampler::clear() {
@@ -262,152 +277,196 @@ void mergeSamplers(const std::vector<const MetricSampler*>& from,
 
 namespace {
 
-void jsonEscape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-/// Virtual-time nanoseconds as fixed-format microseconds ("12.345").
-void putMicros(std::ostream& os, sim::Time ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000));
-  os << buf;
-}
-
-struct JsonEvent {
-  int tid = 0;
-  sim::Time ts = 0;
-  sim::Duration dur = -1;  // >= 0 => "X" complete event
-  char ph = 'i';
-  std::string name;
-  std::string args;  // pre-rendered JSON object, or empty
-};
-
-void writeEvent(std::ostream& os, const JsonEvent& ev, bool* first) {
-  if (!*first) os << ",\n";
-  *first = false;
-  os << "{\"name\":\"";
-  jsonEscape(os, ev.name);
-  os << "\",\"ph\":\"" << (ev.dur >= 0 ? 'X' : ev.ph)
-     << "\",\"pid\":1,\"tid\":" << ev.tid << ",\"ts\":";
-  putMicros(os, ev.ts);
-  if (ev.dur >= 0) {
-    os << ",\"dur\":";
-    putMicros(os, ev.dur);
-  }
-  if (ev.ph == 'i' && ev.dur < 0) os << ",\"s\":\"t\"";
-  if (!ev.args.empty()) os << ",\"args\":" << ev.args;
-  os << "}";
-}
-
-void writeThreadName(std::ostream& os, int tid, const std::string& name,
-                     bool* first) {
-  if (!*first) os << ",\n";
-  *first = false;
-  os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-     << ",\"args\":{\"name\":\"";
-  jsonEscape(os, name);
-  os << "\"}}";
+std::vector<std::string> escapeAll(const std::vector<std::string>& names) {
+  std::vector<std::string> out;
+  out.reserve(names.size());
+  for (const auto& name : names) out.push_back(jsonEscaped(name));
+  return out;
 }
 
 }  // namespace
 
 void writeChromeTrace(std::ostream& os, const SpanTracker& spans,
                       const Timeline& timeline, const MetricSampler& sampler) {
-  // Assign tids: span layers first (sorted by layer name), then timeline
-  // tracks, then one per sampled series.  Sorted assignment keeps the
-  // numbering independent of interning order.
-  std::map<std::string, int> span_tids;
-  for (const auto& rec : spans.records()) {
-    span_tids.emplace("span/" + spans.name(rec.layer), 0);
+  if (spans.hasUnfoldedLaneOps() || timeline.hasUnfoldedLaneOps()) {
+    throw std::logic_error(
+        "obs: writeChromeTrace() before Obs::foldShardLanes()");
   }
+  const std::vector<SpanRecord>& records = spans.records();
+  const std::vector<TimelineEvent>& tl_events = timeline.events();
+  const std::vector<std::string>& tracks = timeline.trackNames();
+  const std::vector<MetricSampler::Series>& series = sampler.series();
+
+  // Span names are indexed by slot: 0 for an id outside the table
+  // (printed "-"), id + 1 otherwise.
+  const std::size_t span_slots = spans.names().size() + 1;
+  auto spanSlot = [&](std::int16_t id) -> std::size_t {
+    return id >= 0 && static_cast<std::size_t>(id) + 1 < span_slots
+               ? static_cast<std::size_t>(id) + 1
+               : 0;
+  };
+  auto spanName = [&](std::size_t slot) -> const std::string& {
+    return spans.name(static_cast<std::int16_t>(static_cast<int>(slot) - 1));
+  };
+  std::vector<std::string> series_keys;
+  series_keys.reserve(series.size());
+  for (const auto& s : series) series_keys.push_back(s.key.str());
+
+  // Tids: span layers that occur in a record, then every timeline
+  // track, then every series key, each group numbered in sorted-name
+  // order (equal names share a tid), so numbering does not depend on
+  // interning order.  The maps are per name; events look their tid up
+  // by id in the vectors below.
+  std::vector<std::pair<int, std::string>> thread_rows;  // tid, escaped
   int next_tid = 1;
-  for (auto& [name, tid] : span_tids) tid = next_tid++;
-
+  auto number = [&](std::map<std::string, int>& tids) {
+    for (auto& [name, tid] : tids) {
+      tid = next_tid++;
+      thread_rows.emplace_back(tid, jsonEscaped(name));
+    }
+  };
+  std::vector<int> layer_tid(span_slots, 0);
+  for (const auto& rec : records) layer_tid[spanSlot(rec.layer)] = 1;
+  std::map<std::string, int> span_tids;
+  for (std::size_t slot = 0; slot < span_slots; ++slot) {
+    if (layer_tid[slot] != 0) span_tids.emplace("span/" + spanName(slot), 0);
+  }
+  number(span_tids);
+  for (std::size_t slot = 0; slot < span_slots; ++slot) {
+    if (layer_tid[slot] != 0) {
+      layer_tid[slot] = span_tids.at("span/" + spanName(slot));
+    }
+  }
   std::map<std::string, int> track_tids;
-  for (const auto& name : timeline.trackNames()) track_tids.emplace(name, 0);
-  for (auto& [name, tid] : track_tids) tid = next_tid++;
-
+  for (const auto& name : tracks) track_tids.emplace(name, 0);
+  number(track_tids);
+  std::vector<int> track_tid;
+  for (const auto& name : tracks) track_tid.push_back(track_tids.at(name));
   std::map<std::string, int> series_tids;
-  for (const auto& s : sampler.series()) series_tids.emplace(s.key.str(), 0);
-  for (auto& [name, tid] : series_tids) tid = next_tid++;
+  for (const auto& key : series_keys) series_tids.emplace(key, 0);
+  number(series_tids);
+  std::vector<int> series_tid;
+  for (const auto& key : series_keys) series_tid.push_back(series_tids.at(key));
 
-  std::vector<JsonEvent> events;
-  events.reserve(spans.records().size() + timeline.events().size());
+  // Event names, escaped once per id (span names by slot).
+  std::vector<std::string> span_esc{jsonEscaped(spanName(0))};
+  for (const auto& name : spans.names()) span_esc.push_back(jsonEscaped(name));
+  const auto label_esc = escapeAll(timeline.labelNames());
+  const auto series_esc = escapeAll(series_keys);
 
-  for (const auto& rec : spans.records()) {
-    JsonEvent ev;
-    ev.tid = span_tids.at("span/" + spans.name(rec.layer));
-    ev.ts = rec.t_open;
-    ev.dur = rec.duration();
-    ev.name = spans.name(rec.layer);
-    std::string args = "{\"trace_id\":" + std::to_string(rec.trace_id);
-    if (rec.node >= 0) args += ",\"node\":\"" + spans.name(rec.node) + "\"";
-    if (rec.link >= 0) args += ",\"link\":\"" + spans.name(rec.link) + "\"";
-    args += std::string(",\"outcome\":\"") + spanOutcomeName(rec.outcome) +
-            "\"";
-    if (rec.reason >= 0) args += ",\"reason\":\"" + spans.name(rec.reason) + "\"";
-    if (rec.root) args += ",\"root\":1";
-    args += "}";
-    ev.args = std::move(args);
-    events.push_back(std::move(ev));
+  // Every event as a compact (ts, seq) key, seq = position in the
+  // record order spans, timeline, series points.  Keys are bucketed by
+  // tid (a counting sort, so each bucket keeps seq order) and a bucket
+  // is sorted by (ts, seq) only when its timestamps are out of order —
+  // the order a stable sort of all events by (tid, ts) gives.
+  std::vector<std::size_t> series_seq;  // first seq of each series
+  std::size_t total = records.size() + tl_events.size();
+  for (const auto& s : series) {
+    series_seq.push_back(total);
+    total += s.points.size();
   }
-
-  for (const auto& tev : timeline.events()) {
-    JsonEvent ev;
-    ev.tid = track_tids.at(timeline.trackName(tev.track));
-    ev.ts = tev.t;
-    ev.dur = tev.dur > 0 ? tev.dur : -1;
-    ev.name = timeline.labelName(tev.label);
-    events.push_back(std::move(ev));
+  auto forEachEvent = [&](auto&& visit) {
+    std::size_t seq = 0;
+    for (const auto& rec : records) {
+      visit(layer_tid[spanSlot(rec.layer)], rec.t_open, seq++);
+    }
+    for (const auto& ev : tl_events) {
+      visit(track_tid[static_cast<std::size_t>(ev.track)], ev.t, seq++);
+    }
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      for (const auto& p : series[i].points) visit(series_tid[i], p.t, seq++);
+    }
+  };
+  struct Key {
+    sim::Time ts = 0;
+    std::size_t seq = 0;
+  };
+  std::vector<std::size_t> bucket(static_cast<std::size_t>(next_tid) + 1, 0);
+  forEachEvent([&](int tid, sim::Time, std::size_t) {
+    ++bucket[static_cast<std::size_t>(tid) + 1];
+  });
+  for (std::size_t t = 1; t < bucket.size(); ++t) bucket[t] += bucket[t - 1];
+  std::vector<Key> keys(total);
+  {
+    std::vector<std::size_t> fill(bucket.begin(), bucket.end() - 1);
+    forEachEvent([&](int tid, sim::Time ts, std::size_t seq) {
+      keys[fill[static_cast<std::size_t>(tid)]++] = Key{ts, seq};
+    });
   }
-
-  for (const auto& s : sampler.series()) {
-    const int tid = series_tids.at(s.key.str());
-    for (const auto& p : s.points) {
-      JsonEvent ev;
-      ev.tid = tid;
-      ev.ts = p.t;
-      ev.ph = 'C';
-      ev.name = s.key.str();
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.6g", p.value);
-      ev.args = std::string("{\"value\":") + buf + "}";
-      events.push_back(std::move(ev));
+  for (std::size_t t = 0; t + 1 < bucket.size(); ++t) {
+    const auto first = keys.begin() + static_cast<std::ptrdiff_t>(bucket[t]);
+    const auto last = keys.begin() + static_cast<std::ptrdiff_t>(bucket[t + 1]);
+    auto byTs = [](const Key& a, const Key& b) { return a.ts < b.ts; };
+    if (!std::is_sorted(first, last, byTs)) {
+      std::sort(first, last, [](const Key& a, const Key& b) {
+        return a.ts != b.ts ? a.ts < b.ts : a.seq < b.seq;
+      });
     }
   }
 
-  // Per-track monotonic timestamps; stable so equal (tid, ts) keep
-  // record order.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const JsonEvent& a, const JsonEvent& b) {
-                     if (a.tid != b.tid) return a.tid < b.tid;
-                     return a.ts < b.ts;
-                   });
-
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  ExportWriter w(os);
+  w.put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
   bool first = true;
-  for (const auto& [name, tid] : span_tids) writeThreadName(os, tid, name, &first);
-  for (const auto& [name, tid] : track_tids) writeThreadName(os, tid, name, &first);
-  for (const auto& [name, tid] : series_tids) writeThreadName(os, tid, name, &first);
-  for (const auto& ev : events) writeEvent(os, ev, &first);
-  os << "\n]}\n";
+  auto startRecord = [&](std::string_view head) {
+    if (!first) w.put(",\n");
+    first = false;
+    w.put(head);
+  };
+  for (const auto& [tid, name] : thread_rows) {
+    startRecord("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
+    w.putInt(tid).put(",\"args\":{\"name\":\"").put(name).put("\"}}");
+  }
+  auto eventHead = [&](const std::string& name, char ph, int tid,
+                       sim::Time ts) {
+    startRecord("{\"name\":\"");
+    w.put(name).put("\",\"ph\":\"").put(ph).put("\",\"pid\":1,\"tid\":");
+    w.putInt(tid).put(",\"ts\":").putMicros(ts);
+  };
+  auto quoted = [&](std::string_view field, std::int16_t id) {
+    if (id < 0) return;
+    w.put(field).put(spans.name(id)).put('"');
+  };
+  const std::size_t tl_begin = records.size();
+  const std::size_t series_begin = tl_begin + tl_events.size();
+  for (std::size_t t = 1; t < static_cast<std::size_t>(next_tid); ++t) {
+    for (std::size_t k = bucket[t]; k < bucket[t + 1]; ++k) {
+      const std::size_t seq = keys[k].seq;
+      const int tid = static_cast<int>(t);
+      if (seq < tl_begin) {
+        // Span names in args are written verbatim, not escaped.
+        const SpanRecord& rec = records[seq];
+        eventHead(span_esc[spanSlot(rec.layer)], 'X', tid, rec.t_open);
+        w.put(",\"dur\":").putMicros(rec.duration());
+        w.put(",\"args\":{\"trace_id\":").putInt(rec.trace_id);
+        quoted(",\"node\":\"", rec.node);
+        quoted(",\"link\":\"", rec.link);
+        w.put(",\"outcome\":\"").put(spanOutcomeName(rec.outcome)).put('"');
+        quoted(",\"reason\":\"", rec.reason);
+        if (rec.root) w.put(",\"root\":1");
+        w.put("}}");
+      } else if (seq < series_begin) {
+        const TimelineEvent& ev = tl_events[seq - tl_begin];
+        const std::string& label =
+            label_esc[static_cast<std::size_t>(ev.label)];
+        if (ev.dur > 0) {
+          eventHead(label, 'X', tid, ev.t);
+          w.put(",\"dur\":").putMicros(ev.dur).put('}');
+        } else {
+          eventHead(label, 'i', tid, ev.t);
+          w.put(",\"s\":\"t\"}");
+        }
+      } else {
+        const std::size_t i = static_cast<std::size_t>(
+            std::upper_bound(series_seq.begin(), series_seq.end(), seq) -
+            series_seq.begin() - 1);
+        const MetricSampler::Point& p = series[i].points[seq - series_seq[i]];
+        eventHead(series_esc[i], 'C', tid, p.t);
+        w.put(",\"args\":{\"value\":").putG6(p.value).put("}}");
+      }
+    }
+  }
+  w.put("\n]}\n");
+  w.flush();
 }
 
 // -- Per-hop decomposition --------------------------------------------------

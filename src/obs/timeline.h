@@ -86,6 +86,10 @@ class Timeline {
     return events_lost_;
   }
 
+  /// True while lane buffers hold events foldShardLanes() has not
+  /// replayed yet; the exports throw std::logic_error then.
+  bool hasUnfoldedLaneOps() const;
+
   /// "track,label,t_ns,dur_ns" rows in record order.
   void writeCsv(std::ostream& os) const;
 
@@ -242,9 +246,12 @@ void mergeSamplers(const std::vector<const MetricSampler*>& from,
 //   * timeline durations    -> "X" complete events on their track's tid
 //   * sampled series        -> "C" counter events (one per point)
 //   * track/thread names    -> "M" thread_name metadata records
-// Timestamps are virtual-time microseconds printed with fixed %.3f
-// formatting; events are stably sorted by (tid, ts) so per-track
+// Timestamps are virtual-time microseconds printed with three fixed
+// decimals; events are ordered by (tid, ts), ties in record order
+// (spans, then timeline events, then series points), so per-track
 // timestamps are monotonic and the byte stream is deterministic.
+// Throws std::logic_error while span or timeline lane buffers hold
+// unfolded events (call Obs::foldShardLanes() first).
 
 void writeChromeTrace(std::ostream& os, const SpanTracker& spans,
                       const Timeline& timeline, const MetricSampler& sampler);

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/export_writer.h"
 #include "sim/event_queue.h"
 
 namespace vini::obs {
@@ -247,14 +248,28 @@ void PacketTracer::clear() {
   kind_totals_.fill(0);
 }
 
+bool PacketTracer::hasUnfoldedLaneOps() const {
+  for (const auto& buf : lane_records_) {
+    if (!buf.empty()) return true;
+  }
+  return false;
+}
+
 void PacketTracer::writeCsv(std::ostream& os) const {
   shard_.assertHeld();
-  os << "t_ns,event,node,link,src,dst,flow,seq,bytes\n";
-  for (const TraceRecord& r : snapshot()) {
-    os << r.t << "," << traceEventName(r.event) << "," << nodeName(r.node)
-       << "," << linkName(r.link) << "," << r.src << "," << r.dst << ","
-       << r.flow << "," << r.seq << "," << r.bytes << "\n";
+  if (hasUnfoldedLaneOps()) {
+    throw std::logic_error(
+        "obs: PacketTracer::writeCsv() before Obs::foldShardLanes()");
   }
+  ExportWriter w(os);
+  w.put("t_ns,event,node,link,src,dst,flow,seq,bytes\n");
+  for (const TraceRecord& r : snapshot()) {
+    w.putInt(r.t).put(',').put(traceEventName(r.event)).put(',');
+    w.put(nodeName(r.node)).put(',').put(linkName(r.link)).put(',');
+    w.putInt(r.src).put(',').putInt(r.dst).put(',').putInt(r.flow).put(',');
+    w.putInt(r.seq).put(',').putInt(r.bytes).put('\n');
+  }
+  w.flush();
 }
 
 namespace {

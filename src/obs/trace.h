@@ -132,6 +132,10 @@ class PacketTracer {
 
   // -- Export ---------------------------------------------------------------
 
+  /// True while lane buffers hold records foldShardLanes() has not
+  /// merged yet; writeCsv() throws std::logic_error then.
+  bool hasUnfoldedLaneOps() const;
+
   /// "t_ns,event,node,link,src,dst,flow,seq,bytes" with names resolved.
   void writeCsv(std::ostream& os) const;
 

@@ -21,17 +21,20 @@
 // The expected files live in tests/golden/obs_export/.  A mismatch
 // writes the actual bytes next to the test binary as
 // obs_export.<file>.actual for inspection.
+//
+// The last test checks the exporters' fold guard on a sharded world.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
-#include "obs/metrics.h"
-#include "obs/span.h"
+#include "app/ping.h"
+#include "obs/obs.h"
 #include "obs/timeline.h"
-#include "obs/trace.h"
+#include "topo/worlds.h"
 
 namespace vini {
 namespace {
@@ -294,6 +297,55 @@ TEST(ObsExportGolden, LargeExportsCrossBufferBoundaries) {
   EXPECT_EQ(fnv1a(timeline_csv.str()), 9962184432961448558ull);
   EXPECT_EQ(series_csv.str().size(), 78319u);
   EXPECT_EQ(fnv1a(series_csv.str()), 818268145302533201ull);
+}
+
+// ---------------------------------------------------------------------------
+// Export-before-fold guard: under the sharded engine, records made on
+// worker lanes reach the shared tables only at Obs::foldShardLanes().
+// An export before that would silently drop them, so it throws.
+
+TEST(ObsExportFoldGuard, ExportsThrowUntilLanesAreFolded) {
+  obs::ScopedObs scope;
+  topo::WorldOptions options;
+  options.seed = 5;
+  options.threads = 2;
+  auto world = topo::makeDeterWorld(options);
+  ASSERT_TRUE(world->runUntilConverged(120 * sim::kSecond));
+  app::Pinger::Options popt;
+  popt.count = 4;
+  popt.flood = false;
+  popt.interval = sim::kSecond / 4;
+  popt.source = world->tapOf("Src");
+  app::Pinger pinger(world->stack("Src"), world->tapOf("Sink"), popt);
+  pinger.start();
+  world->queue.runUntil(world->queue.now() + 3 * sim::kSecond);
+
+  ASSERT_TRUE(scope.spans().hasUnfoldedLaneOps());
+  ASSERT_TRUE(scope.timeline().hasUnfoldedLaneOps());
+  ASSERT_TRUE(scope.tracer().hasUnfoldedLaneOps());
+  std::ostringstream early;
+  EXPECT_THROW(obs::writeChromeTrace(early, scope.spans(), scope.timeline(),
+                                     scope.sampler()),
+               std::logic_error);
+  EXPECT_THROW(scope.spans().writeCsv(early), std::logic_error);
+  EXPECT_THROW(scope.timeline().writeCsv(early), std::logic_error);
+  EXPECT_THROW(scope.tracer().writeCsv(early), std::logic_error);
+  EXPECT_TRUE(early.str().empty());
+
+  scope.obs().foldShardLanes();
+  EXPECT_FALSE(scope.spans().hasUnfoldedLaneOps());
+  EXPECT_FALSE(scope.timeline().hasUnfoldedLaneOps());
+  EXPECT_FALSE(scope.tracer().hasUnfoldedLaneOps());
+  std::ostringstream chrome, spans, timeline, trace;
+  EXPECT_NO_THROW(obs::writeChromeTrace(chrome, scope.spans(),
+                                        scope.timeline(), scope.sampler()));
+  EXPECT_NO_THROW(scope.spans().writeCsv(spans));
+  EXPECT_NO_THROW(scope.timeline().writeCsv(timeline));
+  EXPECT_NO_THROW(scope.tracer().writeCsv(trace));
+  EXPECT_NE(chrome.str().find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_GT(scope.spans().records().size(), 0u);
+  EXPECT_GT(scope.timeline().events().size(), 0u);
+  EXPECT_GT(scope.tracer().size(), 0u);
 }
 
 }  // namespace

@@ -533,7 +533,8 @@ void ruleV203(const std::string& path, const Lexed& lx,
 // V204: mutable static state — non-const function-local statics, mutable
 // static members, and namespace-scope mutable globals.  Such state is
 // shared by every shard and survives across runs-in-process, breaking both
-// determinism and thread-safety.
+// determinism and thread-safety.  `constinit` only pins the initializer:
+// the variable stays mutable, so it does not exempt a declaration.
 void ruleV204(const std::string& path, const Lexed& lx,
               const std::vector<ScopeKind>& scopes,
               std::vector<SrcFinding>& out) {
@@ -551,8 +552,7 @@ void ruleV204(const std::string& path, const Lexed& lx,
         break;
       }
       if (t == ";" || t == "=" || t == "{") break;
-      if (t == "const" || t == "constexpr" || t == "constinit")
-        has_const = true;
+      if (t == "const" || t == "constexpr") has_const = true;
     }
     if (is_function || has_const || j >= bound) continue;
     emit(out, Severity::kError, "V204", path, toks[i].line,
@@ -565,7 +565,7 @@ void ruleV204(const std::string& path, const Lexed& lx,
   static const std::set<std::string> kDeclExcluders = {
       "using",  "typedef",  "struct",    "class",     "enum",
       "namespace", "template", "extern", "static",    "friend",
-      "operator", "const",   "constexpr", "constinit"};
+      "operator", "const",   "constexpr"};
   std::size_t stmt = 0;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const std::string& t = toks[i].text;

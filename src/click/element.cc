@@ -14,7 +14,7 @@ void Element::connectOutput(int port, Element& target, int target_port) {
   outputs_[static_cast<std::size_t>(port)] = PortRef{&target, target_port};
 }
 
-void Element::output(int port, packet::Packet p) {
+void Element::output(int port, packet::Packet&& p) {
   if (port < 0 || static_cast<std::size_t>(port) >= outputs_.size() ||
       outputs_[static_cast<std::size_t>(port)].element == nullptr) {
     ++unconnected_drops_;

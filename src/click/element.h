@@ -64,8 +64,11 @@ class Element {
   virtual std::string className() const = 0;
   const std::string& name() const { return name_; }
 
-  /// Process a packet arriving on `input_port`.
-  virtual void push(int input_port, packet::Packet p) = 0;
+  /// Process a packet arriving on `input_port`.  The packet is passed by
+  /// rvalue reference down the whole push chain: an element that keeps
+  /// or forwards it moves from it, and no hop move-constructs a Packet
+  /// just to call the next element.
+  virtual void push(int input_port, packet::Packet&& p) = 0;
 
   /// Connect this element's `port` to `target`'s `target_port`.
   void connectOutput(int port, Element& target, int target_port);
@@ -77,7 +80,7 @@ class Element {
 
   /// Hand a packet to whatever is connected to `port`; dropped (and
   /// counted) if the port is unconnected.
-  void output(int port, packet::Packet p);
+  void output(int port, packet::Packet&& p);
 
   std::uint64_t unconnectedDrops() const { return unconnected_drops_; }
 

@@ -32,7 +32,7 @@ class FromSocket final : public Element {
  public:
   FromSocket(ClickContext& context, std::uint16_t port);
   std::string className() const override { return "FromSocket"; }
-  void push(int, packet::Packet) override {}  // source element: no inputs
+  void push(int, packet::Packet&&) override {}  // source element: no inputs
 
   std::uint16_t port() const { return port_; }
   std::uint64_t received() const { return received_; }
@@ -56,7 +56,7 @@ class ToSocket final : public Element {
  public:
   ToSocket(ClickContext& context, std::uint16_t local_port);
   std::string className() const override { return "ToSocket"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t sent() const { return sent_; }
   std::uint64_t unroutable() const { return unroutable_; }
@@ -77,7 +77,7 @@ class TapIn final : public Element {
  public:
   TapIn(ClickContext& context, const std::string& device_name);
   std::string className() const override { return "TapIn"; }
-  void push(int, packet::Packet) override {}  // source element
+  void push(int, packet::Packet&&) override {}  // source element
 
   std::uint64_t received() const { return received_; }
 
@@ -92,7 +92,7 @@ class TapOut final : public Element {
  public:
   TapOut(ClickContext& context, const std::string& device_name);
   std::string className() const override { return "TapOut"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t delivered() const { return delivered_; }
 
@@ -110,7 +110,7 @@ class UmlSwitch final : public Element {
  public:
   explicit UmlSwitch(ClickContext& context);
   std::string className() const override { return "UmlSwitch"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   /// The routing daemon's receive hook.
   void setUpcall(std::function<void(packet::Packet)> upcall) {
@@ -137,7 +137,7 @@ class LocalDemux final : public Element {
  public:
   LocalDemux() = default;
   std::string className() const override { return "LocalDemux"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   void addLocalAddress(packet::IpAddress addr) { local_.insert(addr); }
   bool isLocal(packet::IpAddress addr) const { return local_.count(addr) != 0; }
@@ -152,7 +152,7 @@ class DecIpTtl final : public Element {
  public:
   DecIpTtl() = default;
   std::string className() const override { return "DecIpTtl"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t expired() const { return expired_; }
 
@@ -168,7 +168,7 @@ class LookupIPRoute final : public Element {
   LookupIPRoute() = default;
   explicit LookupIPRoute(const std::vector<std::string>& route_args);
   std::string className() const override { return "LookupIPRoute"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   Fib& fib() { return fib_; }
   std::uint64_t misses() const { return misses_; }
@@ -185,7 +185,7 @@ class EncapTable final : public Element {
  public:
   EncapTable() = default;
   std::string className() const override { return "EncapTable"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   void addMapping(packet::IpAddress next_hop, packet::IpAddress node_addr,
                   std::uint16_t port);
@@ -214,7 +214,7 @@ class Napt final : public Element {
   Napt(ClickContext& context, packet::IpAddress public_addr);
   ~Napt() override;
   std::string className() const override { return "Napt"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::size_t activeMappings() const { return forward_.size(); }
   std::uint64_t translatedOut() const { return translated_out_; }
@@ -259,7 +259,7 @@ class Shaper final : public Element {
   Shaper(ClickContext& context, double rate_bps, std::size_t bucket_bytes,
          std::size_t queue_bytes = 256 * 1024);
   std::string className() const override { return "Shaper"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   double rateBps() const { return rate_bps_; }
   void setRateBps(double rate) { rate_bps_ = rate; }
@@ -294,7 +294,7 @@ class DropFilter final : public Element {
  public:
   DropFilter() = default;
   std::string className() const override { return "DropFilter"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   void block(packet::IpAddress addr) { blocked_.insert(addr); }
   void unblock(packet::IpAddress addr) { blocked_.erase(addr); }
@@ -316,7 +316,7 @@ class IcmpTimeExceeded final : public Element {
  public:
   explicit IcmpTimeExceeded(packet::IpAddress reporter) : reporter_(reporter) {}
   std::string className() const override { return "IcmpTimeExceeded"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t generated() const { return generated_; }
 
@@ -330,7 +330,7 @@ class Counter final : public Element {
  public:
   Counter() = default;
   std::string className() const override { return "Counter"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t packets() const { return packets_; }
   std::uint64_t bytes() const { return bytes_; }
@@ -346,7 +346,7 @@ class Discard final : public Element {
  public:
   Discard() = default;
   std::string className() const override { return "Discard"; }
-  void push(int, packet::Packet) override { ++count_; }
+  void push(int, packet::Packet&&) override { ++count_; }
   std::uint64_t count() const { return count_; }
 
  private:
@@ -360,7 +360,7 @@ class Classifier final : public Element {
  public:
   explicit Classifier(std::vector<std::string> patterns);
   std::string className() const override { return "Classifier"; }
-  void push(int input_port, packet::Packet p) override;
+  void push(int input_port, packet::Packet&& p) override;
 
   std::uint64_t unmatched() const { return unmatched_; }
 

@@ -31,14 +31,14 @@ bool Fib::removeRoute(const packet::Prefix& prefix) {
   return true;
 }
 
-std::optional<FibEntry> Fib::lookup(packet::IpAddress dst) const {
+const FibEntry* Fib::lookup(packet::IpAddress dst) const {
   const std::uint32_t addr = dst.value();
   const Node* node = root_.get();
-  std::optional<FibEntry> best = node->entry;
+  const FibEntry* best = node->entry ? &*node->entry : nullptr;
   for (int depth = 0; depth < 32 && node; ++depth) {
     const int bit = (addr >> (31 - depth)) & 1;
     node = node->child[bit].get();
-    if (node && node->entry) best = node->entry;
+    if (node && node->entry) best = &*node->entry;
   }
   return best;
 }

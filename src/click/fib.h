@@ -38,8 +38,9 @@ class Fib {
   /// Remove the entry for exactly `prefix`; returns true if present.
   bool removeRoute(const packet::Prefix& prefix);
 
-  /// Longest-prefix match.
-  std::optional<FibEntry> lookup(packet::IpAddress dst) const;
+  /// Longest-prefix match: the most specific entry covering `dst`, or
+  /// null.  The pointer is valid until the table is next modified.
+  const FibEntry* lookup(packet::IpAddress dst) const;
 
   /// Visit every installed entry (order: trie preorder).
   void forEach(const std::function<void(const FibEntry&)>& visit) const;

@@ -27,7 +27,8 @@ Process::Process(Scheduler& sched, ProcessConfig config)
 
 Process::~Process() = default;
 
-void Process::execute(sim::Duration reference_cpu_cost, std::function<void()> done) {
+void Process::execute(sim::Duration reference_cpu_cost,
+                      sim::EventQueue::Callback done) {
   const auto scaled = static_cast<sim::Duration>(
       static_cast<double>(reference_cpu_cost) * sched_.config().speed_factor);
   jobs_.push_back(Job{std::max<sim::Duration>(scaled, 0), std::move(done)});

@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -110,8 +109,11 @@ class Process {
   Process& operator=(const Process&) = delete;
 
   /// Submit one unit of work.  `reference_cpu_cost` is the cost on the
-  /// reference machine; `done` runs when the work completes.
-  void execute(sim::Duration reference_cpu_cost, std::function<void()> done);
+  /// reference machine; `done` runs when the work completes.  `done` is
+  /// the event engine's small-buffer callback: a job capturing a few
+  /// pointers (Click's per-packet jobs) is queued without a heap
+  /// allocation.
+  void execute(sim::Duration reference_cpu_cost, sim::EventQueue::Callback done);
 
   /// True if no work is queued or running.
   bool idle() const { return !running_ && jobs_.empty(); }
@@ -134,7 +136,7 @@ class Process {
 
   struct Job {
     sim::Duration remaining = 0;  // already speed-scaled
-    std::function<void()> done;
+    sim::EventQueue::Callback done;
   };
 
   void wakeup();

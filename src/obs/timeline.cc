@@ -348,7 +348,8 @@ void writeChromeTrace(std::ostream& os, const SpanTracker& spans,
   std::vector<int> series_tid;
   for (const auto& key : series_keys) series_tid.push_back(series_tids.at(key));
 
-  // Event names, escaped once per id (span names by slot).
+  // Names, escaped once per id: span names by slot (event names and
+  // the node/link/reason args), labels and series keys by index.
   std::vector<std::string> span_esc{jsonEscaped(spanName(0))};
   for (const auto& name : spans.names()) span_esc.push_back(jsonEscaped(name));
   const auto label_esc = escapeAll(timeline.labelNames());
@@ -424,7 +425,7 @@ void writeChromeTrace(std::ostream& os, const SpanTracker& spans,
   };
   auto quoted = [&](std::string_view field, std::int16_t id) {
     if (id < 0) return;
-    w.put(field).put(spans.name(id)).put('"');
+    w.put(field).put(span_esc[spanSlot(id)]).put('"');
   };
   const std::size_t tl_begin = records.size();
   const std::size_t series_begin = tl_begin + tl_events.size();
@@ -433,7 +434,6 @@ void writeChromeTrace(std::ostream& os, const SpanTracker& spans,
       const std::size_t seq = keys[k].seq;
       const int tid = static_cast<int>(t);
       if (seq < tl_begin) {
-        // Span names in args are written verbatim, not escaped.
         const SpanRecord& rec = records[seq];
         eventHead(span_esc[spanSlot(rec.layer)], 'X', tid, rec.t_open);
         w.put(",\"dur\":").putMicros(rec.duration());

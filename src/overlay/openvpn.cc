@@ -117,7 +117,7 @@ void OpenVpnServer::onDatagram(packet::Packet p) {
   router_->injectIntoDataPlane(*p.inner);
 }
 
-void OpenVpnServer::EgressElement::push(int, packet::Packet p) {
+void OpenVpnServer::EgressElement::push(int, packet::Packet&& p) {
   auto it = server_.by_overlay_.find(p.ip.dst);
   if (it == server_.by_overlay_.end()) {
     VINI_OBS_ROOT_DROP(p.meta.trace_id, "no_vpn_session");
@@ -177,7 +177,7 @@ void OpenVpnClient::plumbTunnel() {
   // "OpenVPN creates a TUN/TAP device on the client to intercept
   // outgoing packets from the operating system."
   tun_ = &stack_.createTunDevice("tun-" + name_, overlay_addr_);
-  tun_->setReader([this](packet::Packet p) { onTunPacket(std::move(p)); });
+  tun_->setReader([this](packet::PacketBox p) { onTunPacket(std::move(*p)); });
 
   // Routing: everything into the tunnel, except the server itself.
   tcpip::Route all;

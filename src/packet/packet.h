@@ -51,6 +51,9 @@ struct PacketMeta {
 
 class Packet;
 using PacketPtr = std::shared_ptr<const Packet>;
+/// The one owned box a packet rides in from the sending kernel across
+/// every wire hop to the receiving kernel (DESIGN.md §13).
+using PacketBox = std::unique_ptr<Packet>;
 
 class Packet {
  public:

@@ -14,11 +14,10 @@ namespace {
 // actually queued — a mismatch means drop-tail accounting drifted and
 // every subsequent queue-full decision is wrong.  O(queue) per call,
 // audit builds only.
-void auditByteAccounting(
-    const std::deque<std::shared_ptr<packet::Packet>>& tx_queue,
-    std::size_t queued_bytes) {
+template <typename Queue>
+void auditByteAccounting(const Queue& tx_queue, std::size_t queued_bytes) {
   std::size_t sum = 0;
-  for (const auto& p : tx_queue) sum += p->wireBytes();
+  for (const auto& q : tx_queue) sum += q.packet->wireBytes();
   VINI_AUDIT_CHECK(
       sum == queued_bytes,
       (check::Diagnostic{check::Severity::kError, "V102", "phys channel",
@@ -27,8 +26,8 @@ void auditByteAccounting(
                              " bytes actually queued"}));
 }
 #else
-void auditByteAccounting(const std::deque<std::shared_ptr<packet::Packet>>&,
-                         std::size_t) {}
+template <typename Queue>
+void auditByteAccounting(const Queue&, std::size_t) {}
 #endif
 
 }  // namespace
@@ -103,30 +102,30 @@ void Channel::spanRootDrop(const packet::Packet& p, const char* reason) {
   }
 }
 
-void Channel::transmit(packet::Packet p) {
+void Channel::transmit(packet::PacketBox p) {
   if (!link_up_) {
     ++stats_.down_drops;
     VINI_OBS_INC(m_down_drops_);
-    VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kDownDrop, queue_.now(), p,
+    VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kDownDrop, queue_.now(), *p,
                                  trace_link_));
-    spanRootDrop(p, "link_down");
+    spanRootDrop(*p, "link_down");
     return;
   }
-  const std::size_t wire = p.wireBytes();
+  const std::size_t wire = p->wireBytes();
   if (queued_bytes_ + wire > config_.queue_bytes) {
     ++stats_.queue_drops;
     VINI_OBS_INC(m_queue_drops_);
-    VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kQueueDrop, queue_.now(), p,
+    VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kQueueDrop, queue_.now(), *p,
                                  trace_link_));
-    spanRootDrop(p, "queue_full");
+    spanRootDrop(*p, "queue_full");
     return;
   }
   queued_bytes_ += wire;
   VINI_OBS_GAUGE_SET(m_queued_bytes_, static_cast<double>(queued_bytes_));
-  VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kEnqueue, queue_.now(), p,
+  VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kEnqueue, queue_.now(), *p,
                                trace_link_));
-  tx_queue_spans_.push_back(spanOpen(p, span_queue_));
-  tx_queue_.push_back(std::make_shared<packet::Packet>(std::move(p)));
+  const std::uint32_t queue_span = spanOpen(*p, span_queue_);
+  tx_queue_.push_back(Queued{std::move(p), queue_span});
   auditByteAccounting(tx_queue_, queued_bytes_);
   if (!transmitting_) startNextTransmission();
 }
@@ -143,11 +142,9 @@ void Channel::startNextTransmission() {
     return;
   }
   transmitting_ = true;
-  std::shared_ptr<packet::Packet> p = std::move(tx_queue_.front());
+  packet::PacketBox p = std::move(tx_queue_.front().packet);
+  spanClose(tx_queue_.front().span);
   tx_queue_.pop_front();
-  const std::uint32_t queue_span = tx_queue_spans_.front();
-  tx_queue_spans_.pop_front();
-  spanClose(queue_span);
   const std::size_t wire = p->wireBytes();
   VINI_AUDIT_CHECK(
       wire <= queued_bytes_,
@@ -211,7 +208,7 @@ void Channel::startNextTransmission() {
                                spanRootDrop(*p, "link_down_midflight");
                                return;
                              }
-                             if (deliver_) deliver_(std::move(*p));
+                             if (deliver_) deliver_(std::move(p));
                            });
     }
     startNextTransmission();

@@ -46,7 +46,7 @@ struct ChannelStats {
 /// One direction of a physical link.
 class Channel {
  public:
-  using DeliverFn = std::function<void(packet::Packet)>;
+  using DeliverFn = std::function<void(packet::PacketBox)>;
 
   /// `label` identifies this direction for observability ("Denver-
   /// KansasCity/ab"); when non-empty and an obs context is installed,
@@ -62,8 +62,9 @@ class Channel {
           sim::NodeTag rx_node = sim::kNoNode);
 
   /// Enqueue a packet for transmission; it is delivered to the receiver's
-  /// handler after queueing + serialization + propagation, unless dropped.
-  void transmit(packet::Packet p);
+  /// handler after queueing + serialization + propagation, unless dropped
+  /// (a drop frees the box).
+  void transmit(packet::PacketBox p);
 
   /// The receiving node installs its delivery handler here.
   void setDeliverHandler(DeliverFn fn) { deliver_ = std::move(fn); }
@@ -98,16 +99,16 @@ class Channel {
   LinkConfig config_;
   const bool& link_up_;
   DeliverFn deliver_;
-  /// Packets are boxed once on enqueue and the same box rides through
-  /// the queue and both wire events (serialization, propagation), so a
-  /// link hop never copies the 144-byte Packet and the event callbacks
-  /// capture only a pointer — small enough for the event queue's inline
-  /// storage.  The box is exclusively owned; deliver_ receives the
-  /// moved-out value.
-  std::deque<std::shared_ptr<packet::Packet>> tx_queue_;
-  /// Queueing-span id of each tx_queue_ entry (0 = untraced); kept in
-  /// lockstep with tx_queue_.
-  std::deque<std::uint32_t> tx_queue_spans_;
+  /// The sender's box rides through the queue and both wire events
+  /// (serialization, propagation) and is handed on to deliver_, so a
+  /// link hop neither allocates nor copies the 144-byte Packet, and the
+  /// event callbacks capture only a pointer — small enough for the event
+  /// queue's inline storage.
+  struct Queued {
+    packet::PacketBox packet;
+    std::uint32_t span = 0;  ///< queueing-span id (0 = untraced)
+  };
+  std::deque<Queued> tx_queue_;
   std::size_t queued_bytes_ = 0;
   bool transmitting_ = false;
   ChannelStats stats_;

@@ -14,7 +14,7 @@ PhysNode::PhysNode(NodeId id, std::string name, sim::EventQueue& queue,
 void PhysNode::attachLink(PhysLink& link) {
   links_.push_back(&link);
   link.channelFrom(link.peerOf(id_))
-      .setDeliverHandler([this, &link](packet::Packet p) {
+      .setDeliverHandler([this, &link](packet::PacketBox p) {
         if (handler_) handler_(std::move(p), link);
       });
 }

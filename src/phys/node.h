@@ -21,8 +21,9 @@ namespace vini::phys {
 
 class PhysNode {
  public:
-  /// Handler invoked when a packet arrives on an attached link.
-  using PacketHandler = std::function<void(packet::Packet, PhysLink&)>;
+  /// Handler invoked when a packet arrives on an attached link; it takes
+  /// over the box the sender created.
+  using PacketHandler = std::function<void(packet::PacketBox, PhysLink&)>;
 
   PhysNode(NodeId id, std::string name, sim::EventQueue& queue,
            cpu::SchedulerConfig cpu_config);

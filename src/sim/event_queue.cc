@@ -18,8 +18,6 @@ constexpr std::size_t kCalMinBuckets = 16;
 
 }  // namespace
 
-thread_local EventQueue::ShardWorkerCtx EventQueue::worker_ctx_;
-
 const char* queueImplName(QueueImpl impl) {
   return impl == QueueImpl::kHeap ? "heap" : "calendar";
 }

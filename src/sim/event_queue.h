@@ -69,6 +69,18 @@ enum class QueueImpl {
 /// Stable lowercase name for reports and BENCH_engine.json.
 const char* queueImplName(QueueImpl impl);
 
+class EventQueue;
+
+/// The thread-local context a sharded worker lane installs while it
+/// executes (see EventQueue's "Sharded dispatch" notes).  Declared
+/// outside EventQueue so it is complete where the queue defines its
+/// thread-local instance.
+struct ShardWorkerCtx {
+  const EventQueue* queue = nullptr;
+  void* lane = nullptr;  ///< ShardRuntime::Lane*
+  int lane_index = -1;
+};
+
 /// A deterministic discrete-event scheduler.
 ///
 /// Usage:
@@ -453,12 +465,11 @@ class EventQueue {
   // local state (defined in shard.cc, where the lane types are
   // complete).  The context is per (thread, queue): a worker executing
   // for queue A leaves any other queue's behavior untouched.
-  struct ShardWorkerCtx {
-    const EventQueue* queue = nullptr;
-    void* lane = nullptr;  ///< ShardRuntime::Lane*
-    int lane_index = -1;
-  };
-  static thread_local ShardWorkerCtx worker_ctx_;  // defined in event_queue.cc
+  // Defined inline with a constant initializer, so every access reads
+  // the TLS slot directly.  An out-of-line definition made accesses
+  // from other translation units go through a TLS init wrapper that
+  // UBSan reports as a null-pointer member access.
+  static inline constinit thread_local ShardWorkerCtx worker_ctx_{};
 
   Time workerNow() const;
   EventId workerSchedule(Time when, const char* tag, NodeTag node,

@@ -228,7 +228,7 @@ void ShardRuntime::execLane(Lane& lane, bool run_hooks) {
   // queue's public API reroutes to the lane-local state below.
   core::setShardContext((static_cast<std::uint64_t>(lane.index) + 1) * 2);
   EventQueue::worker_ctx_ =
-      EventQueue::ShardWorkerCtx{&queue_, &lane, static_cast<int>(lane.index)};
+      ShardWorkerCtx{&queue_, &lane, static_cast<int>(lane.index)};
   for (;;) {
     while (lane.run_head < lane.run.size() && lane.run[lane.run_head].dead) {
       ++lane.run_head;
@@ -301,7 +301,7 @@ void ShardRuntime::execLane(Lane& lane, bool run_hooks) {
   }
   lane.run.clear();
   lane.run_head = 0;
-  EventQueue::worker_ctx_ = EventQueue::ShardWorkerCtx{};
+  EventQueue::worker_ctx_ = ShardWorkerCtx{};
   core::setShardContext(0);
 }
 

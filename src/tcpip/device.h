@@ -32,8 +32,9 @@ class Device {
   packet::IpAddress address() const { return address_; }
   void setAddress(packet::IpAddress a) { address_ = a; }
 
-  /// The kernel routed a packet out of this device.
-  virtual void transmit(packet::Packet p) = 0;
+  /// The kernel routed a packet out of this device; the device takes
+  /// over the sending stack's box.
+  virtual void transmit(packet::PacketBox p) = 0;
 
  protected:
   std::string name_;
@@ -47,7 +48,7 @@ class UnderlayDevice final : public Device {
   UnderlayDevice(std::string name, packet::IpAddress address, HostStack& stack)
       : Device(std::move(name), address), stack_(stack) {}
 
-  void transmit(packet::Packet p) override;
+  void transmit(packet::PacketBox p) override;
 
  private:
   HostStack& stack_;
@@ -58,7 +59,7 @@ class UnderlayDevice final : public Device {
 class TunDevice final : public Device {
  public:
   /// User-space reader: invoked for each packet the kernel routes here.
-  using Reader = std::function<void(packet::Packet)>;
+  using Reader = std::function<void(packet::PacketBox)>;
 
   TunDevice(std::string name, packet::IpAddress address, HostStack& stack)
       : Device(std::move(name), address), stack_(stack) {}
@@ -66,7 +67,7 @@ class TunDevice final : public Device {
   void setReader(Reader reader) { reader_ = std::move(reader); }
 
   /// Kernel -> user space.
-  void transmit(packet::Packet p) override {
+  void transmit(packet::PacketBox p) override {
     if (reader_) reader_(std::move(p));
   }
 

@@ -7,7 +7,9 @@ namespace vini::tcpip {
 // ---------------------------------------------------------------------------
 // Devices
 
-void UnderlayDevice::transmit(packet::Packet p) { stack_.transmitUnderlay(std::move(p)); }
+void UnderlayDevice::transmit(packet::PacketBox p) {
+  stack_.transmitUnderlay(std::move(p));
+}
 
 void TunDevice::inject(packet::Packet p) { stack_.injectFromTun(std::move(p)); }
 
@@ -107,8 +109,9 @@ HostStack::HostStack(phys::PhysNode& node, phys::PhysNetwork& net,
   local_addrs_.insert(node.address());
   // Default route: everything not otherwise routed exits the underlay NIC.
   rt_.addRoute(Route{packet::Prefix::defaultRoute(), underlay_.get(), {}, 100});
-  node_.setPacketHandler(
-      [this](packet::Packet p, phys::PhysLink&) { onWirePacket(std::move(p)); });
+  node_.setPacketHandler([this](packet::PacketBox p, phys::PhysLink&) {
+    onWirePacket(std::move(p));
+  });
   kernel_accounting_start_ = queue().now();
   // Unconditional (not obs-gated): node attribution is engine-level
   // bookkeeping for the shard-readiness telemetry, and passive either way.
@@ -236,7 +239,10 @@ void HostStack::sendIcmpEcho(packet::IpAddress dst, std::uint16_t ident,
 void HostStack::registerTcpConnection(const TcpKey& key,
                                       std::function<void(packet::Packet)> handler,
                                       std::shared_ptr<void> owner) {
-  tcp_connections_[key] = TcpDemuxEntry{std::move(owner), std::move(handler)};
+  tcp_connections_[key] = TcpDemuxEntry{
+      std::move(owner),
+      std::make_shared<const std::function<void(packet::Packet)>>(
+          std::move(handler))};
 }
 
 void HostStack::unregisterTcpConnection(const TcpKey& key) {
@@ -260,7 +266,7 @@ sim::Duration HostStack::sampleNicLatency(sim::Duration mean) {
   return static_cast<sim::Duration>(std::clamp(sample, 0.2 * m, 3.0 * m));
 }
 
-void HostStack::onWirePacket(packet::Packet p) {
+void HostStack::onWirePacket(packet::PacketBox p) {
   // NIC receive path: DMA + interrupt latency, pipelined (pure delay).
   // Delivery is kept FIFO: jittered latencies must not reorder a burst,
   // or TCP sees phantom reordering and spurious dup-ACKs.
@@ -282,26 +288,28 @@ void HostStack::onWirePacket(packet::Packet p) {
   }
   last_rx_delivery_ = deliver_at;
   VINI_OBS_INC(m_rx_packets_);
-  VINI_OBS_TRACE(hostRecord(obs::TraceEvent::kIngress, now, p, trace_node_));
-  const std::uint32_t rx_span = spanOpen(p, span_nic_rx_);
-  auto boxed = std::make_shared<packet::Packet>(std::move(p));
+  VINI_OBS_TRACE(hostRecord(obs::TraceEvent::kIngress, now, *p, trace_node_));
+  const std::uint32_t rx_span = spanOpen(*p, span_nic_rx_);
   queue().schedule(deliver_at, "tcpip.host", node_tag_,
-                   [this, p = std::move(boxed), rx_span]() mutable {
+                   [this, p = std::move(p), rx_span]() mutable {
     spanClose(rx_span);
     if (rx_trace_) rx_trace_(*p);
-    processPacket(std::move(p), /*from_wire=*/true);
+    processPacket(std::move(p));
   });
 }
 
 void HostStack::injectFromTun(packet::Packet p) {
   // User -> kernel injection: processed as if it arrived from a device,
   // with no NIC latency (it is a memory copy through /dev/net/tun).
-  processPacket(std::make_shared<packet::Packet>(std::move(p)),
-                /*from_wire=*/false);
+  // Traffic for this host is delivered without ever being boxed.
+  if (isLocalAddress(p.ip.dst)) {
+    deliverLocal(std::move(p));
+    return;
+  }
+  processPacket(std::make_unique<packet::Packet>(std::move(p)));
 }
 
-void HostStack::processPacket(std::shared_ptr<packet::Packet> p,
-                              bool from_wire) {
+void HostStack::processPacket(packet::PacketBox p) {
   if (isLocalAddress(p->ip.dst)) {
     deliverLocal(std::move(*p));
     return;
@@ -312,7 +320,6 @@ void HostStack::processPacket(std::shared_ptr<packet::Packet> p,
     spanRootDrop(*p, "no_ip_forward");
     return;
   }
-  (void)from_wire;
   forwardPacket(std::move(p));
 }
 
@@ -385,11 +392,11 @@ void HostStack::deliverLocal(packet::Packet p) {
   if (const auto* tcp = p.tcpHeader()) {
     const TcpKey key{tcp->dst_port, p.ip.src.value(), tcp->src_port};
     if (auto it = tcp_connections_.find(key); it != tcp_connections_.end()) {
-      // Copy out of the map: the handler may unregister itself while it
-      // runs, and the owner reference must outlive that erase.
-      auto owner = it->second.owner;
-      auto handler = it->second.handler;
-      handler(std::move(p));
+      // Pin both out of the map: the handler may unregister itself while
+      // it runs, and the owner and the handler must outlive that erase.
+      const auto owner = it->second.owner;
+      const auto handler = it->second.handler;
+      (*handler)(std::move(p));
       return;
     }
     if (auto it = tcp_listeners_.find(tcp->dst_port); it != tcp_listeners_.end()) {
@@ -426,7 +433,7 @@ void HostStack::sendIcmpError(std::uint8_t type, std::uint8_t code,
   sendPacket(packet::Packet::icmpError(reporter, type, code, original));
 }
 
-void HostStack::forwardPacket(std::shared_ptr<packet::Packet> p) {
+void HostStack::forwardPacket(packet::PacketBox p) {
   if (p->ip.ttl <= 1) {
     ++stats_.dropped_ttl;
     VINI_OBS_INC(m_dropped_ttl_);
@@ -452,59 +459,61 @@ void HostStack::forwardPacket(std::shared_ptr<packet::Packet> p) {
   queue().scheduleAfter(kernel_busy_until_ - now, "tcpip.host", node_tag_,
                         [this, p = std::move(p), fwd_span]() mutable {
                           spanClose(fwd_span);
-                          routeAndTransmit(std::move(*p));
+                          routeAndTransmit(std::move(p));
                         });
 }
 
 void HostStack::sendPacket(packet::Packet p) {
   if (p.meta.app_send_time < 0) p.meta.app_send_time = queue().now();
-  if (isLocalAddress(p.ip.dst)) {
+  auto boxed = std::make_unique<packet::Packet>(std::move(p));
+  if (isLocalAddress(boxed->ip.dst)) {
     // Loopback delivery.
     queue().scheduleAfter(1 * sim::kMicrosecond, "tcpip.host", node_tag_,
-                          [this, p = std::make_shared<packet::Packet>(
-                                     std::move(p))]() mutable {
+                          [this, p = std::move(boxed)]() mutable {
                             deliverLocal(std::move(*p));
                           });
     return;
   }
-  routeAndTransmit(std::move(p));
+  routeAndTransmit(std::move(boxed));
 }
 
-void HostStack::routeAndTransmit(packet::Packet p) {
-  const Route* route = rt_.lookup(p.ip.dst);
+void HostStack::routeAndTransmit(packet::PacketBox p) {
+  const Route* route = rt_.lookup(p->ip.dst);
   if (!route || !route->device) {
     ++stats_.dropped_no_route;
     VINI_OBS_INC(m_dropped_no_route_);
-    spanRootDrop(p, "no_route");
+    spanRootDrop(*p, "no_route");
     return;
   }
   VINI_OBS_TRACE(hostRecord(obs::TraceEvent::kForwardDecision, queue().now(),
-                            p, trace_node_));
-  if (tx_trace_) tx_trace_(p);
+                            *p, trace_node_));
+  if (tx_trace_) tx_trace_(*p);
   route->device->transmit(std::move(p));
 }
 
-void HostStack::transmitUnderlay(packet::Packet p) {
-  phys::PhysLink* link = net_.nextLinkFor(node_.id(), p.ip.dst);
+void HostStack::transmitUnderlay(packet::PacketBox p) {
+  phys::PhysLink* link = net_.nextLinkFor(node_.id(), p->ip.dst);
   if (!link) {
     ++stats_.dropped_no_route;
     VINI_OBS_INC(m_dropped_no_route_);
-    spanRootDrop(p, "no_route");
+    spanRootDrop(*p, "no_route");
     return;
   }
-  if (p.meta.slice_id >= 0) {
-    SliceTraffic& traffic = slice_traffic_[p.meta.slice_id];
+  if (p->meta.slice_id >= 0) {
+    SliceTraffic& traffic = slice_traffic_[p->meta.slice_id];
     ++traffic.tx_packets;
-    traffic.tx_bytes += p.ipPacketBytes();
+    traffic.tx_bytes += p->ipPacketBytes();
   }
-  NicState& nic = nic_state_[link->id()];
+  const auto link_id = static_cast<std::size_t>(link->id());
+  if (link_id >= nic_state_.size()) nic_state_.resize(link_id + 1);
+  NicState& nic = nic_state_[link_id];
   // Bounded transmit ring: a saturated sender used to pre-schedule one
   // far-future wire event per packet (~414k pending events at peak on a
   // saturated mesh); now overflow is a counted drop, like a real driver.
   if (nic.queue.size() >= config_.nic_queue_packets) {
     ++stats_.dropped_nic_queue;
     VINI_OBS_INC(m_nic_queue_drops_);
-    spanRootDrop(p, "nic_queue_full");
+    spanRootDrop(*p, "nic_queue_full");
     return;
   }
   // Serialize through the access NIC (this is what limits a PlanetLab
@@ -516,7 +525,7 @@ void HostStack::transmitUnderlay(packet::Packet p) {
   // pre-scheduling — but only the ring head holds a pending event;
   // nicComplete() chains the rest.
   const sim::Duration serialization =
-      sim::serializationDelay(p.wireBytes(), config_.nic_bps);
+      sim::serializationDelay(p->wireBytes(), config_.nic_bps);
   const sim::Time now = queue().now();
   const bool back_to_back = nic.busy_until > now;
   const sim::Time start = std::max(now, nic.busy_until);
@@ -530,10 +539,9 @@ void HostStack::transmitUnderlay(packet::Packet p) {
   sim::Time wire_at = nic.busy_until + latency;
   if (wire_at < nic.last_wire) wire_at = nic.last_wire;  // keep FIFO
   nic.last_wire = wire_at;
-  const std::uint32_t tx_span = spanOpen(p, span_nic_tx_);
+  const std::uint32_t tx_span = spanOpen(*p, span_nic_tx_);
   const bool was_idle = nic.queue.empty();
-  nic.queue.push_back(NicTx{std::make_shared<packet::Packet>(std::move(p)),
-                            link, tx_span, wire_at});
+  nic.queue.push_back(NicTx{std::move(p), link, tx_span, wire_at});
   if (was_idle) {
     queue().schedule(wire_at, "tcpip.host", node_tag_,
                      [this, id = link->id()]() { nicComplete(id); });
@@ -541,12 +549,12 @@ void HostStack::transmitUnderlay(packet::Packet p) {
 }
 
 void HostStack::nicComplete(int link_id) {
-  NicState& nic = nic_state_[link_id];
+  NicState& nic = nic_state_[static_cast<std::size_t>(link_id)];
   if (nic.queue.empty()) return;  // defensive: ring was torn down
   NicTx tx = std::move(nic.queue.front());
   nic.queue.pop_front();
   spanClose(tx.span);
-  tx.link->channelFrom(node_.id()).transmit(std::move(*tx.packet));
+  tx.link->channelFrom(node_.id()).transmit(std::move(tx.packet));
   if (!nic.queue.empty()) {
     queue().schedule(nic.queue.front().wire_at, "tcpip.host", node_tag_,
                      [this, link_id]() { nicComplete(link_id); });

@@ -263,10 +263,12 @@ class HostStack {
   // -- Packet I/O ---------------------------------------------------------------
 
   /// Send a locally generated packet (routing table decides the device).
+  /// This is where the packet is boxed, once, for its whole journey to
+  /// the receiving kernel.
   void sendPacket(packet::Packet p);
 
   /// Transmit via the underlay NIC (underlay routing picks the link).
-  void transmitUnderlay(packet::Packet p);
+  void transmitUnderlay(packet::PacketBox p);
 
   /// Entry point for packets injected from a TUN device (user -> kernel).
   void injectFromTun(packet::Packet p);
@@ -289,7 +291,7 @@ class HostStack {
   /// Packets currently queued in every per-link NIC transmit ring.
   std::size_t nicQueuedPackets() const {
     std::size_t n = 0;
-    for (const auto& [id, nic] : nic_state_) n += nic.queue.size();
+    for (const NicState& nic : nic_state_) n += nic.queue.size();
     return n;
   }
 
@@ -304,16 +306,16 @@ class HostStack {
   void noteSocketBufferDrop(const packet::Packet& p);
 
  private:
-  /// The receive/forward chain passes one heap-boxed packet through its
+  /// The receive/forward chain passes the sender's box through its
   /// NIC-receive and kernel-forwarding events, so each event callback
   /// captures a pointer (small enough for the event queue's inline
-  /// storage) instead of the full Packet, and the packet is boxed once
-  /// per visit to this host rather than once per event.
-  void onWirePacket(packet::Packet p);
-  void processPacket(std::shared_ptr<packet::Packet> p, bool from_wire);
+  /// storage) instead of the full Packet; deliverLocal() is where the
+  /// packet finally leaves its box.
+  void onWirePacket(packet::PacketBox p);
+  void processPacket(packet::PacketBox p);
   void deliverLocal(packet::Packet p);
-  void forwardPacket(std::shared_ptr<packet::Packet> p);
-  void routeAndTransmit(packet::Packet p);
+  void forwardPacket(packet::PacketBox p);
+  void routeAndTransmit(packet::PacketBox p);
   sim::Duration sampleNicLatency(sim::Duration mean);
   /// Fire the head-of-ring wire event for `link_id` and chain the next.
   void nicComplete(int link_id);
@@ -346,9 +348,11 @@ class HostStack {
   std::map<int, SliceTraffic> slice_traffic_;
   // The entry owns the connection: erasing it (unregisterTcpConnection,
   // or stack destruction) ends the connection's registered lifetime.
+  // The handler is shared so delivery can pin it for the duration of a
+  // call (the handler may unregister itself) without copying it.
   struct TcpDemuxEntry {
     std::shared_ptr<void> owner;
-    std::function<void(packet::Packet)> handler;
+    std::shared_ptr<const std::function<void(packet::Packet)>> handler;
   };
   std::map<TcpKey, TcpDemuxEntry> tcp_connections_;
   std::unordered_map<std::uint16_t, std::function<void(packet::Packet)>> tcp_listeners_;
@@ -360,17 +364,23 @@ class HostStack {
   // pending wire event; completion chains the next, so pending-event
   // storage is O(active links), not O(in-flight packets).
   struct NicTx {
-    std::shared_ptr<packet::Packet> packet;
+    packet::PacketBox packet;
     phys::PhysLink* link = nullptr;
     std::uint32_t span = 0;
     sim::Time wire_at = 0;
   };
   struct NicState {
+    NicState() = default;
+    // std::deque's move constructor is not noexcept; without this the
+    // vector below would copy the move-only ring when it grows, which
+    // does not compile.
+    NicState(NicState&&) noexcept = default;
     std::deque<NicTx> queue;
     sim::Time busy_until = 0;
     sim::Time last_wire = 0;
   };
-  std::unordered_map<int, NicState> nic_state_;
+  /// Indexed by PhysLink::id() (dense); grown on first use of a link.
+  std::vector<NicState> nic_state_;
   sim::Time last_rx_delivery_ = 0;
   sim::Time kernel_busy_until_ = 0;
   sim::Duration kernel_cpu_ = 0;

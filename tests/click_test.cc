@@ -50,7 +50,7 @@ TEST(Fib, RemoveRestoresShorterMatch) {
 
 TEST(Fib, EmptyLookupMisses) {
   Fib fib;
-  EXPECT_FALSE(fib.lookup(IpAddress(10, 0, 0, 1)).has_value());
+  EXPECT_EQ(fib.lookup(IpAddress(10, 0, 0, 1)), nullptr);
 }
 
 TEST(Fib, ReplaceExistingPrefixKeepsSize) {
@@ -67,6 +67,56 @@ TEST(Fib, HostRouteAndDefaultCoexist) {
   fib.addRoute({Prefix::mustParse("10.1.0.2/32"), {}, 5});
   EXPECT_EQ(fib.lookup(IpAddress(10, 1, 0, 2))->port, 5);
   EXPECT_EQ(fib.lookup(IpAddress(10, 1, 0, 3))->port, 0);
+}
+
+TEST(Fib, DefaultRouteCatchesWhatNothingElseCovers) {
+  Fib fib;
+  fib.addRoute({Prefix::mustParse("10.1.2.0/24"), IpAddress(4, 4, 4, 4), 3});
+  EXPECT_EQ(fib.lookup(IpAddress(192, 0, 2, 1)), nullptr);
+  fib.addRoute({Prefix::defaultRoute(), IpAddress(1, 1, 1, 1), 9});
+  const FibEntry* hit = fib.lookup(IpAddress(192, 0, 2, 1));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->prefix, Prefix::defaultRoute());
+  EXPECT_EQ(hit->next_hop, IpAddress(1, 1, 1, 1));
+  EXPECT_EQ(hit->port, 9);
+  // 0.0.0.0 and 255.255.255.255 walk the two extreme trie edges.
+  EXPECT_EQ(fib.lookup(IpAddress(0u)), hit);
+  EXPECT_EQ(fib.lookup(IpAddress(0xFFFFFFFFu)), hit);
+}
+
+TEST(Fib, HostRouteBeatsCoveringSlash24) {
+  Fib fib;
+  fib.addRoute({Prefix::mustParse("10.1.2.0/24"), IpAddress(4, 4, 4, 4), 3});
+  fib.addRoute({Prefix::mustParse("10.1.2.7/32"), IpAddress(5, 5, 5, 5), 4});
+  const FibEntry* host = fib.lookup(IpAddress(10, 1, 2, 7));
+  ASSERT_NE(host, nullptr);
+  EXPECT_EQ(host->prefix.length(), 32);
+  EXPECT_EQ(host->next_hop, IpAddress(5, 5, 5, 5));
+  EXPECT_EQ(host->port, 4);
+  // The /32's neighbours still match the /24 — one stored entry for all.
+  const FibEntry* net = fib.lookup(IpAddress(10, 1, 2, 6));
+  ASSERT_NE(net, nullptr);
+  EXPECT_EQ(net->prefix.length(), 24);
+  EXPECT_EQ(fib.lookup(IpAddress(10, 1, 2, 8)), net);
+}
+
+TEST(Fib, LookupAfterRemovalFallsBackToTheNextShorterMatch) {
+  Fib fib;
+  fib.addRoute({Prefix::defaultRoute(), {}, 0});
+  fib.addRoute({Prefix::mustParse("10.1.2.0/24"), {}, 3});
+  fib.addRoute({Prefix::mustParse("10.1.2.7/32"), {}, 4});
+  const IpAddress dst(10, 1, 2, 7);
+  EXPECT_EQ(fib.lookup(dst)->port, 4);
+  ASSERT_TRUE(fib.removeRoute(Prefix::mustParse("10.1.2.7/32")));
+  EXPECT_EQ(fib.lookup(dst)->port, 3);
+  ASSERT_TRUE(fib.removeRoute(Prefix::mustParse("10.1.2.0/24")));
+  EXPECT_EQ(fib.lookup(dst)->port, 0);
+  ASSERT_TRUE(fib.removeRoute(Prefix::defaultRoute()));
+  EXPECT_EQ(fib.lookup(dst), nullptr);
+  EXPECT_EQ(fib.size(), 0u);
+  // Re-adding after removal is visible to the next lookup.
+  fib.addRoute({Prefix::mustParse("10.1.2.0/24"), {}, 6});
+  EXPECT_EQ(fib.lookup(dst)->port, 6);
 }
 
 TEST(Fib, PropertyMatchesLinearReference) {
@@ -102,11 +152,11 @@ TEST(Fib, PropertyMatchesLinearReference) {
         best = &r;
       }
     }
-    const auto got = fib.lookup(addr);
+    const FibEntry* got = fib.lookup(addr);
     if (!best) {
-      EXPECT_FALSE(got.has_value());
+      EXPECT_EQ(got, nullptr);
     } else {
-      ASSERT_TRUE(got.has_value());
+      ASSERT_NE(got, nullptr);
       EXPECT_EQ(got->prefix, best->prefix);
       EXPECT_EQ(got->port, best->port);
     }
@@ -132,7 +182,7 @@ TEST(Fib, ForEachVisitsAllEntries) {
 class Capture final : public Element {
  public:
   std::string className() const override { return "Capture"; }
-  void push(int port, Packet p) override {
+  void push(int port, Packet&& p) override {
     packets.emplace_back(port, std::move(p));
   }
   std::vector<std::pair<int, Packet>> packets;
@@ -236,16 +286,16 @@ TEST(DropFilterElement, BlocksByEncapDestination) {
 
   Packet p = udpTo(IpAddress(10, 1, 5, 5));
   p.meta.encap_dst = peer;
-  filter.push(0, p);
+  filter.push(0, Packet(p));
   EXPECT_EQ(out.packets.size(), 1u);
 
   filter.block(peer);
-  filter.push(0, p);
+  filter.push(0, Packet(p));
   EXPECT_EQ(out.packets.size(), 1u);
   EXPECT_EQ(filter.dropped(), 1u);
 
   filter.unblock(peer);
-  filter.push(0, p);
+  filter.push(0, Packet(p));
   EXPECT_EQ(out.packets.size(), 2u);
 }
 

@@ -298,13 +298,16 @@ TEST(ShardToken, SameThreadMayAssertRepeatedly) {
 }
 
 TEST(ShardToken, ForeignThreadAborts) {
+  // Claims are enforced inside a parallel window; in a serial phase
+  // ownership migrates freely, so the collision must happen in one.
   ShardToken token;
-  token.assertHeld();
   EXPECT_DEATH(
       [&token] {
+        beginShardParallelPhase();
+        token.assertHeld();
         std::thread([&token] { token.assertHeld(); }).join();
       }(),
-      "");
+      "ShardToken ownership violation");
 }
 #endif
 

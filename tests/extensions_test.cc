@@ -207,7 +207,7 @@ TEST(BgpEgress, LearnedExternalPrefixesProgramTheNaptPort) {
   // ...and the Click FIB sends that prefix to the NAPT, not a tunnel.
   auto fib_entry =
       egress->fibElement().fib().lookup(packet::IpAddress(64, 236, 16, 20));
-  ASSERT_TRUE(fib_entry.has_value());
+  ASSERT_NE(fib_entry, nullptr);
   EXPECT_EQ(fib_entry->prefix.str(), "64.236.0.0/16");
   EXPECT_EQ(fib_entry->port, 2);
 
@@ -216,7 +216,7 @@ TEST(BgpEgress, LearnedExternalPrefixesProgramTheNaptPort) {
   world->queue.runUntil(world->queue.now() + 2 * kSecond);
   fib_entry =
       egress->fibElement().fib().lookup(packet::IpAddress(64, 236, 16, 20));
-  ASSERT_TRUE(fib_entry.has_value());
+  ASSERT_NE(fib_entry, nullptr);
   EXPECT_EQ(fib_entry->prefix, packet::Prefix::defaultRoute());
 }
 

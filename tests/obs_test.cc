@@ -248,13 +248,13 @@ TEST(Reconciliation, ChannelDropsMatchAcrossTracerRegistryAndStats) {
   phys::Channel channel(q, random, config, up, "A-B/ab");
 
   std::uint64_t delivered = 0;
-  channel.setDeliverHandler([&](packet::Packet) { ++delivered; });
+  channel.setDeliverHandler([&](packet::PacketBox) { ++delivered; });
 
   auto makePacket = [](int i) {
-    packet::Packet p = packet::Packet::udp(
+    auto p = std::make_unique<packet::Packet>(packet::Packet::udp(
         packet::IpAddress(10, 0, 0, 1), packet::IpAddress(10, 0, 0, 2), 1000,
-        2000, 1430);
-    p.meta.app_seq = static_cast<std::uint64_t>(i) + 1;
+        2000, 1430));
+    p->meta.app_seq = static_cast<std::uint64_t>(i) + 1;
     return p;
   };
 
@@ -331,14 +331,14 @@ TEST(Reconciliation, InstrumentationIsPassive) {
     config.loss_rate = 0.3;
     phys::Channel channel(q, random, config, up, with_obs ? "L/ab" : "");
     std::vector<std::uint64_t> delivered_seqs;
-    channel.setDeliverHandler([&](packet::Packet p) {
-      delivered_seqs.push_back(p.meta.app_seq);
+    channel.setDeliverHandler([&](packet::PacketBox p) {
+      delivered_seqs.push_back(p->meta.app_seq);
     });
     for (int i = 0; i < 30; ++i) {
-      packet::Packet p = packet::Packet::udp(
+      auto p = std::make_unique<packet::Packet>(packet::Packet::udp(
           packet::IpAddress(10, 0, 0, 1), packet::IpAddress(10, 0, 0, 2), 1,
-          2, 500);
-      p.meta.app_seq = static_cast<std::uint64_t>(i) + 1;
+          2, 500));
+      p->meta.app_seq = static_cast<std::uint64_t>(i) + 1;
       channel.transmit(std::move(p));
     }
     q.run();

@@ -1,0 +1,284 @@
+// Packet-path ownership and allocation tests.
+//
+// A packet is boxed once by the sending stack and the same box rides the
+// NIC ring, the channel queue and both wire events into the receiving
+// kernel (DESIGN.md §13).  This binary replaces the global operator new
+// with a counting one, so it can pin how many heap allocations a wire
+// packet costs on the Table 2 IIAS path, and check that every channel
+// drop site frees the box it was handed.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include "app/iperf.h"
+#include "cpu/scheduler.h"
+#include "phys/network.h"
+#include "topo/worlds.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_live.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// GCC flags the free() below as mismatched with operator new; here it is
+// the matching release of the malloc() above.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live.fetch_sub(1, std::memory_order_relaxed);
+  std::free(p);
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+
+namespace vini {
+namespace {
+
+using packet::IpAddress;
+using packet::Packet;
+using sim::kMicrosecond;
+using sim::kMillisecond;
+using sim::kSecond;
+
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+std::int64_t liveAllocations() {
+  return g_live.load(std::memory_order_relaxed);
+}
+
+std::uint64_t wirePackets(topo::World& world) {
+  std::uint64_t n = 0;
+  for (const auto& link : world.net.links()) {
+    for (const phys::NodeId end : {link->nodeA(), link->nodeB()}) {
+      n += link->channelFrom(end).stats().tx_packets;
+    }
+  }
+  return n;
+}
+
+// ---------------------------------------------------------------------------
+// Allocation budget of the IIAS forwarding path
+
+TEST(AllocationBudget, DeterTcpWindowAllocationsPerWirePacket) {
+  // The Table 2 IIAS row: 20 TCP streams Src -> Fwdr -> Sink through
+  // user-space Click.  A data segment and its ACK each cross two wires.
+  // Per wire packet the path allocates one outer box (the sending
+  // stack's) and one shared inner packet (the Click hop's ToSocket);
+  // the TCP endpoints' boxes add 0.5.  The rest is container growth:
+  // the socket buffer's and the Click job queue's std::deque chunks,
+  // about 0.6.  Wire events, NIC ring and channel queue entries, Click
+  // jobs and TCP demux allocate nothing per packet.
+  topo::WorldOptions options;
+  options.seed = 1000;
+  auto world = topo::makeDeterWorld(options);
+  ASSERT_TRUE(world->runUntilConverged(60 * kSecond));
+  app::IperfTcpServer server(world->stack("Sink"), 5001);
+  app::IperfTcpClient client(world->stack("Src"), world->tapOf("Sink"), 5001,
+                             20, {}, world->tapOf("Src"));
+  const sim::Time t0 = world->queue.now();
+  client.start(3 * kSecond);
+  // Warm-up: connection set-up, slow start, and the one-time growth of
+  // the event slab, the rings and the socket buffers.
+  world->queue.runUntil(t0 + kSecond);
+
+  const std::uint64_t allocs_before = allocations();
+  const std::uint64_t wire_before = wirePackets(*world);
+  world->queue.runUntil(t0 + 2 * kSecond);
+  const std::uint64_t allocs = allocations() - allocs_before;
+  const std::uint64_t wire = wirePackets(*world) - wire_before;
+
+  ASSERT_GT(wire, 10000u);  // the window saturates the chain
+  const double per_packet =
+      static_cast<double>(allocs) / static_cast<double>(wire);
+  RecordProperty("allocations_per_wire_packet", std::to_string(per_packet));
+  // Measured 3.23 (171,152 allocations for 53,025 wire packets, GCC 12).
+  EXPECT_LT(per_packet, 3.4) << allocs << " allocations for " << wire
+                             << " wire packets";
+}
+
+// ---------------------------------------------------------------------------
+// Process jobs under the small-buffer callback
+
+struct ProcessFixture {
+  sim::EventQueue queue;
+  std::unique_ptr<cpu::Scheduler> scheduler =
+      std::make_unique<cpu::Scheduler>(queue, cpu::SchedulerConfig{});
+  cpu::Process& process = scheduler->createProcess(cpu::ProcessConfig{});
+};
+
+TEST(ProcessJobs, RunFifoAndDoneMaySubmitAnotherJob) {
+  ProcessFixture f;
+  std::vector<int> order;
+  f.process.execute(10 * kMicrosecond, [&] {
+    order.push_back(1);
+    // Re-entrant submission from inside a completion: queued behind the
+    // jobs already waiting.
+    f.process.execute(10 * kMicrosecond, [&] { order.push_back(4); });
+  });
+  f.process.execute(10 * kMicrosecond, [&] { order.push_back(2); });
+  f.process.execute(0, [&] { order.push_back(3); });
+  f.queue.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_TRUE(f.process.idle());
+}
+
+/// A job capture too large for the callback's 64 inline bytes: it takes
+/// the heap fallback.
+struct BigJob {
+  std::shared_ptr<int> token;
+  int* runs = nullptr;
+  char pad[64] = {};
+  void operator()() const { ++*runs; }
+};
+static_assert(sizeof(BigJob) > 64);
+
+TEST(ProcessJobs, OversizedCaptureRunsAndIsReleased) {
+  ProcessFixture f;
+  auto token = std::make_shared<int>(0);
+  int runs = 0;
+  f.process.execute(kMillisecond, BigJob{token, &runs});
+  EXPECT_EQ(token.use_count(), 2);
+  f.queue.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(ProcessJobs, PendingCapturesAreDestroyedAtTeardown) {
+  ProcessFixture f;
+  auto token = std::make_shared<int>(0);
+  int runs = 0;
+  const std::int64_t live_before = liveAllocations();
+  for (int i = 0; i < 3; ++i) {
+    f.process.execute(kSecond, BigJob{token, &runs});       // heap fallback
+    f.process.execute(kSecond, [token, &runs] { ++runs; });  // inline
+  }
+  EXPECT_EQ(token.use_count(), 7);
+  f.queue.runUntil(kMillisecond);  // the first job is still running
+  f.scheduler.reset();
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(token.use_count(), 1);
+  // The wakeup event left in the queue captures only the process pointer.
+  EXPECT_LE(liveAllocations(), live_before);
+}
+
+// ---------------------------------------------------------------------------
+// Channel drop paths release the box
+
+struct Link {
+  sim::EventQueue queue;
+  phys::PhysNetwork net{queue};
+  phys::PhysNode* a = nullptr;
+  phys::PhysNode* b = nullptr;
+  phys::PhysLink* link = nullptr;
+  int delivered = 0;
+
+  explicit Link(phys::LinkConfig config) {
+    a = &net.addNode("a", IpAddress(1, 0, 0, 1));
+    b = &net.addNode("b", IpAddress(1, 0, 0, 2));
+    link = &net.addLink(*a, *b, config);
+    b->setPacketHandler([this](packet::PacketBox, phys::PhysLink&) {
+      ++delivered;
+    });
+  }
+
+  phys::Channel& channel() { return link->channelFrom(a->id()); }
+
+  void send(int count) {
+    for (int i = 0; i < count; ++i) {
+      channel().transmit(std::make_unique<Packet>(
+          Packet::udp(a->address(), b->address(), 1, 2, 1000)));
+    }
+  }
+};
+
+/// Runs `scenario` twice and checks that the second run leaves exactly as
+/// many live allocations as it found: the first run grows the event
+/// slab and the channel queue to their working size, so any difference
+/// after the second is a leaked packet box.
+template <typename Scenario>
+void expectNoLeak(Link& l, Scenario&& scenario) {
+  scenario();
+  l.queue.run();
+  const std::int64_t live = liveAllocations();
+  scenario();
+  l.queue.run();
+  EXPECT_EQ(liveAllocations(), live);
+}
+
+TEST(ChannelDrops, QueueFullFreesTheBox) {
+  phys::LinkConfig config;
+  config.bandwidth_bps = 1e6;
+  config.queue_bytes = 3000;
+  Link l(config);
+  expectNoLeak(l, [&] { l.send(20); });
+  EXPECT_GT(l.channel().stats().queue_drops, 0u);
+  EXPECT_EQ(static_cast<std::uint64_t>(l.delivered),
+            l.channel().stats().tx_packets);
+}
+
+TEST(ChannelDrops, WireLossFreesTheBox) {
+  phys::LinkConfig config;
+  config.loss_rate = 0.5;
+  Link l(config);
+  expectNoLeak(l, [&] { l.send(50); });
+  EXPECT_GT(l.channel().stats().loss_drops, 0u);
+  EXPECT_GT(l.delivered, 0);
+}
+
+TEST(ChannelDrops, LinkDownBeforeTransmitFreesTheBox) {
+  Link l(phys::LinkConfig{});
+  l.link->setUp(false);
+  expectNoLeak(l, [&] { l.send(5); });
+  EXPECT_EQ(l.channel().stats().down_drops, 10u);
+  EXPECT_EQ(l.delivered, 0);
+}
+
+TEST(ChannelDrops, LinkDownWhileSerializingFreesTheBox) {
+  phys::LinkConfig config;
+  config.bandwidth_bps = 1e6;  // ~8 ms per 1000-byte frame
+  Link l(config);
+  expectNoLeak(l, [&] {
+    l.link->setUp(true);
+    l.send(3);
+    l.queue.scheduleAfter(kMillisecond, [&] { l.link->setUp(false); });
+  });
+  EXPECT_EQ(l.channel().stats().down_drops, 6u);
+  EXPECT_EQ(l.delivered, 0);
+}
+
+TEST(ChannelDrops, LinkDownMidFlightFreesTheBox) {
+  phys::LinkConfig config;
+  config.propagation = 10 * kMillisecond;
+  Link l(config);
+  expectNoLeak(l, [&] {
+    l.link->setUp(true);
+    l.send(3);
+    l.queue.scheduleAfter(5 * kMillisecond, [&] { l.link->setUp(false); });
+  });
+  EXPECT_EQ(l.channel().stats().down_drops, 6u);
+  EXPECT_EQ(l.delivered, 0);
+}
+
+}  // namespace
+}  // namespace vini

@@ -13,8 +13,9 @@ using sim::kMicrosecond;
 using sim::kMillisecond;
 using sim::kSecond;
 
-Packet smallPacket(IpAddress src, IpAddress dst, std::size_t payload = 100) {
-  return Packet::udp(src, dst, 1, 2, payload);
+packet::PacketBox smallPacket(IpAddress src, IpAddress dst,
+                              std::size_t payload = 100) {
+  return std::make_unique<Packet>(Packet::udp(src, dst, 1, 2, payload));
 }
 
 struct TwoNodes {
@@ -38,9 +39,9 @@ TEST(Channel, DeliversAfterSerializationAndPropagation) {
   TwoNodes world(config);
 
   sim::Time delivered_at = -1;
-  world.b->setPacketHandler([&](Packet, PhysLink&) { delivered_at = world.queue.now(); });
-  Packet p = smallPacket(world.a->address(), world.b->address(), 1000);
-  const auto wire_bits = static_cast<double>(p.wireBytes()) * 8.0;
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { delivered_at = world.queue.now(); });
+  packet::PacketBox p = smallPacket(world.a->address(), world.b->address(), 1000);
+  const auto wire_bits = static_cast<double>(p->wireBytes()) * 8.0;
   world.link->channelFrom(world.a->id()).transmit(std::move(p));
   world.queue.run();
 
@@ -54,7 +55,7 @@ TEST(Channel, BackToBackPacketsSerializeSequentially) {
   TwoNodes world(config);
 
   std::vector<sim::Time> deliveries;
-  world.b->setPacketHandler([&](Packet, PhysLink&) { deliveries.push_back(world.queue.now()); });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { deliveries.push_back(world.queue.now()); });
   for (int i = 0; i < 3; ++i) {
     world.link->channelFrom(world.a->id()).transmit(
         smallPacket(world.a->address(), world.b->address(), 100));
@@ -73,7 +74,7 @@ TEST(Channel, DropTailQueueOverflowCounts) {
   TwoNodes world(config);
 
   int delivered = 0;
-  world.b->setPacketHandler([&](Packet, PhysLink&) { ++delivered; });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { ++delivered; });
   auto& channel = world.link->channelFrom(world.a->id());
   for (int i = 0; i < 20; ++i) {
     channel.transmit(smallPacket(world.a->address(), world.b->address(), 100));
@@ -90,7 +91,7 @@ TEST(Channel, RandomLossDropsApproximatelyTheConfiguredFraction) {
   TwoNodes world(config);
 
   int delivered = 0;
-  world.b->setPacketHandler([&](Packet, PhysLink&) { ++delivered; });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { ++delivered; });
   auto& channel = world.link->channelFrom(world.a->id());
   const int total = 5000;
   for (int i = 0; i < total; ++i) {
@@ -105,7 +106,7 @@ TEST(Channel, RandomLossDropsApproximatelyTheConfiguredFraction) {
 TEST(Channel, DownLinkEatsPackets) {
   TwoNodes world;
   int delivered = 0;
-  world.b->setPacketHandler([&](Packet, PhysLink&) { ++delivered; });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { ++delivered; });
   world.link->setUp(false);
   auto& channel = world.link->channelFrom(world.a->id());
   channel.transmit(smallPacket(world.a->address(), world.b->address()));
@@ -119,7 +120,7 @@ TEST(Channel, MidFlightFailureDropsPacket) {
   config.propagation = 10 * kMillisecond;
   TwoNodes world(config);
   int delivered = 0;
-  world.b->setPacketHandler([&](Packet, PhysLink&) { ++delivered; });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { ++delivered; });
   world.link->channelFrom(world.a->id())
       .transmit(smallPacket(world.a->address(), world.b->address()));
   // Fail the link while the packet is propagating.

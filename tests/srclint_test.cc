@@ -145,6 +145,17 @@ TEST(SrclintV204, FlagsMutableStaticState) {
                                  "Widget* g_current = nullptr;\n"
                                  "}\n");
   EXPECT_NE(findCode(global, "V204"), nullptr);
+  // constinit fixes the initializer, not the value.
+  const auto member = lintSource("x.h",
+                                 "class Q {\n"
+                                 "  static inline constinit thread_local int n{};\n"
+                                 "};\n");
+  EXPECT_NE(findCode(member, "V204"), nullptr);
+  const auto pinned = lintSource("x.cc",
+                                 "namespace app {\n"
+                                 "constinit int g_count = 0;\n"
+                                 "}\n");
+  EXPECT_NE(findCode(pinned, "V204"), nullptr);
 }
 
 TEST(SrclintV204, ConstStaticsAndFunctionDeclsAreClean) {

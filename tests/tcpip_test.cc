@@ -183,9 +183,9 @@ TEST(HostStack, TunDeviceRoundTrip) {
 
   // Kernel -> user: a packet routed at 10.x lands in the reader.
   int read = 0;
-  tun.setReader([&](Packet p) {
+  tun.setReader([&](packet::PacketBox p) {
     ++read;
-    EXPECT_EQ(p.ip.dst, IpAddress(10, 9, 9, 9));
+    EXPECT_EQ(p->ip.dst, IpAddress(10, 9, 9, 9));
   });
   world.sa->sendPacket(Packet::udp(world.sa->address(), IpAddress(10, 9, 9, 9),
                                    1, 2, 10));
@@ -199,8 +199,8 @@ TEST(HostStack, TunDeviceRoundTrip) {
   // Inject an echo request as if it arrived from the overlay; the reply
   // routes back out through the tun device to the reader.
   int reader_saw_reply = 0;
-  tun.setReader([&](Packet p) {
-    if (p.isIcmp() && p.icmpHeader()->type == packet::IcmpHeader::kEchoReply) {
+  tun.setReader([&](packet::PacketBox p) {
+    if (p->isIcmp() && p->icmpHeader()->type == packet::IcmpHeader::kEchoReply) {
       ++reader_saw_reply;
     }
   });

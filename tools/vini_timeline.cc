@@ -560,6 +560,25 @@ int selfTest() {
   CHECK(a.str() == b.str());
   CHECK(validateText(a.str(), "self-test export") == 0);
 
+  // Span args are escaped like every other name: a node, link or drop
+  // reason holding '"' or a control byte still yields valid JSON.
+  obs::SpanTracker odd;
+  const std::int16_t hop_layer = odd.intern("phys.link");
+  const std::uint64_t odd_trace = odd.newTraceId();
+  odd.openRoot(odd_trace, hop_layer, 0);
+  odd.close(odd.open(odd_trace, hop_layer, 10, odd.intern("node \"A\""),
+                     odd.intern("link\x01" "ab")),
+            20);
+  odd.closeRoot(odd_trace, 30, obs::SpanOutcome::kDropped,
+                odd.intern("why\"\x01"));
+  std::ostringstream escaped;
+  obs::writeChromeTrace(escaped, odd, obs::Timeline{}, obs::MetricSampler{});
+  CHECK(escaped.str().find('\x01') == std::string::npos);
+  CHECK(escaped.str().find("\"node\":\"node \\\"A\\\"\"") !=
+        std::string::npos);
+  CHECK(escaped.str().find("\"link\":\"link\\u0001ab\"") != std::string::npos);
+  CHECK(validateText(escaped.str(), "escaped span args") == 0);
+
   // The validator actually rejects malformed input.
   const char* bad[] = {"{", "{\"a\":}", "[1,]", "{\"a\":1}x", "\"\\q\""};
   for (const char* text : bad) {

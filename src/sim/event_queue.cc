@@ -24,12 +24,8 @@ const char* queueImplName(QueueImpl impl) {
 
 EventQueue::EventQueue() : EventQueue(QueueImpl::kHeap) {}
 
-EventQueue::EventQueue(QueueImpl impl) : impl_(impl) {
+EventQueue::EventQueue(QueueImpl impl) : global_(impl) {
   shard_.assertHeld();
-  if (impl_ == QueueImpl::kCalendar) {
-    cal_buckets_.resize(kCalMinBuckets);
-    calResetScan(0);
-  }
 }
 
 EventQueue::EventQueue(QueueImpl impl, int threads) : EventQueue(impl) {
@@ -37,17 +33,18 @@ EventQueue::EventQueue(QueueImpl impl, int threads) : EventQueue(impl) {
 }
 
 EventQueue::~EventQueue() {
-  // Join the worker pool first: no other thread may touch the queue
-  // while it tears down.
-  shard_rt_.reset();
   // Drain stored callbacks while every member is still alive: dropping
   // a callback can destroy the last owner of a component (e.g. a TCP
   // connection kept alive only by its pending retransmit event), and
   // that component's destructor may cancel() its own timers on this
   // queue.  With tearing_down_ set those cancels return without
-  // touching the slab or the priority structure.
+  // touching a slab or a priority structure.  Workers idle between
+  // rounds, so the lanes' Stores drain here too; the pool joins after.
   tearing_down_ = true;
-  for (Slot& slot : slots_) slot.cb.reset();
+  for (Store* store : stores_) {
+    for (Slot& slot : store->slots) slot.cb.reset();
+  }
+  shard_rt_.reset();
 }
 
 void EventQueue::finalizeSharding(Duration lookahead) {
@@ -60,36 +57,6 @@ void EventQueue::finalizeSharding(Duration lookahead) {
 
 std::size_t EventQueue::shardLaneCount() const {
   return shard_rt_ ? shard_rt_->laneCount() : 0;
-}
-
-std::uint32_t EventQueue::allocSlot() {
-  if (free_slots_.empty()) {
-    // The id encoding caps the slab at 2^24 concurrent events; a
-    // simulation needing more has almost certainly leaked events.
-    VINI_AUDIT_CHECK(
-        slots_.size() <= kSlotMask,
-        (check::Diagnostic{check::Severity::kError, "V104", "event queue",
-                           "more than 2^24 concurrent pending events"}));
-    slots_.emplace_back();
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-  }
-  const std::uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  return slot;
-}
-
-void EventQueue::releaseSlot(std::uint32_t slot) {
-  slots_[slot].cb.reset();
-  slots_[slot].tag = nullptr;
-  slots_[slot].id = 0;
-  if (slots_[slot].alias != 0) {
-    if (shard_rt_) shard_rt_->dropAlias(slots_[slot].alias);
-    slots_[slot].alias = 0;
-  }
-  slots_[slot].sched_at = 0;
-  slots_[slot].node = kNoNode;
-  slots_[slot].sched_from = kNoNode;
-  free_slots_.push_back(slot);
 }
 
 NodeTag EventQueue::internNodeTag(const std::string& name) {
@@ -137,14 +104,6 @@ EventId EventQueue::schedule(Time when, const char* tag, NodeTag node,
   }
   shard_.assertHeld();
   if (when < now_) when = now_;
-  // Sharded runs reserve the id's top byte for worker lane bands; the
-  // classic encoding stays clear of it while the sequence fits 31 bits.
-  if (shard_rt_) {
-    VINI_AUDIT_CHECK(
-        next_seq_ < (1ull << 31),
-        (check::Diagnostic{check::Severity::kError, "V107", "event queue",
-                           "sharded-mode event sequence space exhausted"}));
-  }
   // Cross-node edge accounting: an attributed handler scheduling onto a
   // different attributed node is exactly the event a sharded engine
   // would have to hand off through a mailbox; its delay bounds the
@@ -160,27 +119,26 @@ EventId EventQueue::schedule(Time when, const char* tag, NodeTag node,
       ++cross_node_scheduled_;
     }
   }
-  const std::uint32_t slot = allocSlot();
-  const EventId id = (next_seq_++ << kSlotBits) | slot;
-  slots_[slot].cb = std::move(cb);
-  slots_[slot].tag = tag;
-  slots_[slot].id = id;
-  slots_[slot].sched_at = now_;
-  slots_[slot].node = node;
-  slots_[slot].sched_from = exec_node_;
-  const Key key{when, id};
-  if (impl_ == QueueImpl::kHeap) {
-    heap_.push_back(key);
-    heapSiftUp(heap_.size() - 1);
+  const bool sharded = shard_threads_ > 0;
+  if (sharded) ShardRuntime::auditStamp(next_seq_);
+  const std::uint32_t slot =
+      global_.allocSlot(sharded ? kHandleSlotMask : kSlotMask);
+  Slot& s = global_.slots[slot];
+  s.cb = std::move(cb);
+  s.tag = tag;
+  s.sched_at = now_;
+  s.node = node;
+  s.sched_from = exec_node_;
+  const std::uint64_t stamp = next_seq_++;
+  if (shard_rt_ != nullptr && node < shard_rt_->laneCount()) {
+    // A node event lives in its lane's Store; the handle names the
+    // stub left here, which lanes may read while the Store is frozen.
+    shard_rt_->handOver(s, kNoNode, slot, node, when, stamp);
   } else {
-    calInsert(key);
+    s.ord = (stamp << kSlotBits) | slot;
+    global_.push(Key{when, s.ord});
   }
-  ++live_;
-  if (live_ > peak_pending_) peak_pending_ = live_;
-  const std::size_t storage =
-      impl_ == QueueImpl::kHeap ? heap_.size() : cal_count_;
-  if (storage > peak_storage_) peak_storage_ = storage;
-  return id;
+  return sharded ? handleOf(kNoNode, slot, s.gen) : s.ord;
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -191,15 +149,12 @@ bool EventQueue::cancel(EventId id) {
 bool EventQueue::cancelMain(EventId id, bool audit) {
   shard_.assertHeld();
   if (tearing_down_) return false;
-  // A worker-issued id (lane band in the top byte) resolves through the
-  // shard runtime's translation tables.
-  if (shard_rt_ != nullptr && ShardRuntime::isShardId(id)) {
-    return shard_rt_->mainCancel(id);
-  }
+  if (shard_threads_ > 0) return cancelSharded(id, audit);
   // Only events still awaiting execution can be cancelled: the handle
   // must still occupy its slab slot.
   const std::uint32_t slot = slotOf(id);
-  if (id == 0 || slot >= slots_.size() || slots_[slot].id != id) {
+  if (id == 0 || slot >= global_.slots.size() ||
+      global_.slots[slot].ord != id) {
     if (id != 0 && audit) {
       if (seqOf(id) == 0 || seqOf(id) >= next_seq_) {
         // V101 (error): this queue never issued `id` — the handle is
@@ -227,31 +182,117 @@ bool EventQueue::cancelMain(EventId id, bool audit) {
   }
   // Release the callback — and any packet or component state it
   // captured — *now*; only a 16-byte tombstone key stays behind.
-  releaseSlot(slot);
-  --live_;
-  ++dead_keys_;
-  maybeCompact();
+  global_.cancelQueued(slot);
   return true;
 }
 
-void EventQueue::maybeCompact() {
-  const std::size_t storage =
-      impl_ == QueueImpl::kHeap ? heap_.size() : cal_count_;
-  if (dead_keys_ * 2 <= storage) return;
-  // Tombstones outnumber live keys: rebuild without them.  Removal
-  // cannot change pop order — (when, id) is a total order, so any heap
-  // arrangement of the surviving keys pops identically.
-  if (impl_ == QueueImpl::kHeap) {
-    std::erase_if(heap_, [this](const Key& k) { return !keyLive(k); });
-    heapRebuild();
+bool EventQueue::cancelSharded(EventId id, [[maybe_unused]] bool audit) {
+  const Handle h = decode(id);
+  Store* store = h.ctx == kNoNode || h.ctx + 1u < stores_.size()
+                     ? &storeOf(h.ctx)
+                     : nullptr;
+  if (store != nullptr && h.slot < store->slots.size() &&
+      store->slots[h.slot].gen == h.gen && store->slots[h.slot].ord != 0) {
+    // Between rounds a stub always forwards to its live record: the
+    // barrier frees stubs as their records retire.
+    const Slot& s = store->slots[h.slot];
+    Store& home = s.stub ? storeOf(s.link_ctx) : *store;
+    const std::uint32_t record = s.stub ? s.link_slot : h.slot;
+    unlinkStub(home.slots[record]);
+    home.cancelQueued(record);
+    return true;
+  }
+  // A fired, cancelled or fabricated handle: the deterministic
+  // stale-handle path, same contract as the classic engine.
+  VINI_AUDIT_CHECK(
+      !audit || id == 0,
+      (check::Diagnostic{check::Severity::kWarning, "V101",
+                         "event " + std::to_string(id),
+                         "cancel() of a sharded event that already fired or "
+                         "was already cancelled"}));
+  return false;
+}
+
+// -- Store: slab + priority structure ------------------------------------------
+
+EventQueue::Store::Store(QueueImpl structure) : impl(structure) {
+  if (impl == QueueImpl::kCalendar) {
+    cal_buckets.resize(kCalMinBuckets);
+    calResetScan(0);
+  }
+}
+
+std::uint32_t EventQueue::Store::allocSlot([[maybe_unused]] std::uint32_t cap) {
+  if (free_slots.empty()) {
+    // The id encoding caps a slab (2^24 slots in the classic engine,
+    // 2^17 per Store in the sharded one); a simulation needing more has
+    // almost certainly leaked events.
+    VINI_AUDIT_CHECK(
+        slots.size() <= cap,
+        (check::Diagnostic{check::Severity::kError, "V104", "event queue",
+                           "more than " + std::to_string(cap + 1ull) +
+                               " concurrent events in one slab"}));
+    slots.emplace_back();
+    return static_cast<std::uint32_t>(slots.size() - 1);
+  }
+  const std::uint32_t slot = free_slots.back();
+  free_slots.pop_back();
+  return slot;
+}
+
+void EventQueue::Store::releaseSlot(std::uint32_t slot) {
+  // A live callback dies last: its captures' destructors may re-enter
+  // the queue (cancel or schedule), which must find the slot free.
+  Slot& s = slots[slot];
+  Callback dead;
+  if (s.cb) dead = std::move(s.cb);
+  s.tag = nullptr;
+  s.ord = 0;
+  s.linked = false;
+  s.stub = false;
+  s.gen = s.gen == kGenMask ? 1 : s.gen + 1;
+  free_slots.push_back(slot);
+}
+
+void EventQueue::Store::push(const Key& key, bool in_window) {
+  if (impl == QueueImpl::kHeap) {
+    std::vector<Key>& h = in_window ? window : heap;
+    h.push_back(key);
+    heapSiftUp(h, h.size() - 1);
   } else {
-    for (auto& bucket : cal_buckets_) {
+    calInsert(key);
+  }
+  ++live;
+  if (live > peak_pending) peak_pending = live;
+  const std::size_t size = storage();
+  if (size > peak_storage) peak_storage = size;
+}
+
+void EventQueue::Store::cancelQueued(std::uint32_t slot) {
+  releaseSlot(slot);
+  --live;
+  ++dead_keys;
+  maybeCompact();
+}
+
+void EventQueue::Store::maybeCompact() {
+  if (dead_keys * 2 <= storage()) return;
+  // Tombstones outnumber live keys: rebuild without them.  Removal
+  // cannot change pop order — (when, ord) is a total order, so any heap
+  // arrangement of the surviving keys pops identically.
+  if (impl == QueueImpl::kHeap) {
+    for (std::vector<Key>* h : {&heap, &window}) {
+      std::erase_if(*h, [this](const Key& k) { return !keyLive(k); });
+      heapRebuild(*h);
+    }
+  } else {
+    for (auto& bucket : cal_buckets) {
       const std::size_t before = bucket.size();
       std::erase_if(bucket, [this](const Key& k) { return !keyLive(k); });
-      cal_count_ -= before - bucket.size();
+      cal_count -= before - bucket.size();
     }
   }
-  dead_keys_ = 0;
+  dead_keys = 0;
 }
 
 // -- 4-ary heap ---------------------------------------------------------------
@@ -259,89 +300,97 @@ void EventQueue::maybeCompact() {
 // An implicit d-ary min-heap with d = 4: children of node i are
 // 4i+1..4i+4, which span one or two cache lines of 16-byte keys, so a
 // sift touches half the depth a binary heap would for the same size.
-// Pops always extract the exact (when, id) minimum, so heap arity is
+// Pops always extract the exact (when, ord) minimum, so heap arity is
 // invisible to the simulation.
 
-void EventQueue::heapSiftUp(std::size_t i) {
-  const Key k = heap_[i];
+void EventQueue::Store::heapSiftUp(std::vector<Key>& h, std::size_t i) {
+  const Key k = h[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
-    if (!keyEarlier(k, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!keyEarlier(k, h[parent])) break;
+    h[i] = h[parent];
     i = parent;
   }
-  heap_[i] = k;
+  h[i] = k;
 }
 
-void EventQueue::heapSiftDown(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const Key k = heap_[i];
+void EventQueue::Store::heapSiftDown(std::vector<Key>& h, std::size_t i) {
+  const std::size_t n = h.size();
+  const Key k = h[i];
   for (;;) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
     const std::size_t last = std::min(first + 4, n);
     std::size_t best = first;
     for (std::size_t c = first + 1; c < last; ++c) {
-      if (keyEarlier(heap_[c], heap_[best])) best = c;
+      if (keyEarlier(h[c], h[best])) best = c;
     }
-    if (!keyEarlier(heap_[best], k)) break;
-    heap_[i] = heap_[best];
+    if (!keyEarlier(h[best], k)) break;
+    h[i] = h[best];
     i = best;
   }
-  heap_[i] = k;
+  h[i] = k;
 }
 
-void EventQueue::heapRebuild() {
-  if (heap_.size() < 2) return;
+void EventQueue::Store::heapRebuild(std::vector<Key>& h) {
+  if (h.size() < 2) return;
   // Floyd: sift internal nodes down, deepest first.
-  for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) {
-    heapSiftDown(i);
+  for (std::size_t i = (h.size() - 2) / 4 + 1; i-- > 0;) {
+    heapSiftDown(h, i);
   }
+}
+
+EventQueue::Key EventQueue::Store::heapPop(std::vector<Key>& h) {
+  const Key k = h.front();
+  h.front() = h.back();
+  h.pop_back();
+  if (!h.empty()) heapSiftDown(h, 0);
+  return k;
 }
 
 // -- Calendar queue -----------------------------------------------------------
 
-void EventQueue::calResetScan(Time t) {
+void EventQueue::Store::calResetScan(Time t) {
   const auto idx =
-      static_cast<std::uint64_t>(t) / static_cast<std::uint64_t>(cal_width_);
-  cal_bucket_ = static_cast<std::size_t>(idx % cal_buckets_.size());
-  cal_top_ = static_cast<Time>(idx + 1) * cal_width_;
+      static_cast<std::uint64_t>(t) / static_cast<std::uint64_t>(cal_width);
+  cal_bucket = static_cast<std::size_t>(idx % cal_buckets.size());
+  cal_top = static_cast<Time>(idx + 1) * cal_width;
 }
 
-void EventQueue::calInsert(const Key& k) {
+void EventQueue::Store::calInsert(const Key& k) {
   // An insert behind the scan position (possible because the scan sits
   // wherever the last pop left it) rewinds the scan to the new event.
-  if (cal_count_ == 0 || k.when < cal_top_ - cal_width_) calResetScan(k.when);
+  if (cal_count == 0 || k.when < cal_top - cal_width) calResetScan(k.when);
   const auto idx = static_cast<std::uint64_t>(k.when) /
-                   static_cast<std::uint64_t>(cal_width_);
-  auto& bucket = cal_buckets_[static_cast<std::size_t>(idx % cal_buckets_.size())];
+                   static_cast<std::uint64_t>(cal_width);
+  auto& bucket = cal_buckets[static_cast<std::size_t>(idx % cal_buckets.size())];
   bucket.insert(
       std::upper_bound(bucket.begin(), bucket.end(), k,
                        [](const Key& a, const Key& b) { return keyEarlier(a, b); }),
       k);
-  ++cal_count_;
+  ++cal_count;
   calMaybeResize();
 }
 
-const EventQueue::Key* EventQueue::calPeek() {
-  if (cal_count_ == 0) return nullptr;
-  const std::size_t n = cal_buckets_.size();
+const EventQueue::Key* EventQueue::Store::calPeek() {
+  if (cal_count == 0) return nullptr;
+  const std::size_t n = cal_buckets.size();
   // Walk year windows from the scan position.  A bucket's front is its
   // earliest key; it wins iff it falls inside the current window
   // (events in the same window always share a bucket, so the first hit
   // is the global minimum).
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& bucket = cal_buckets_[cal_bucket_];
-    if (!bucket.empty() && bucket.front().when < cal_top_) {
+    const auto& bucket = cal_buckets[cal_bucket];
+    if (!bucket.empty() && bucket.front().when < cal_top) {
       return &bucket.front();
     }
-    cal_bucket_ = (cal_bucket_ + 1) % n;
-    cal_top_ += cal_width_;
+    cal_bucket = (cal_bucket + 1) % n;
+    cal_top += cal_width;
   }
   // A whole year without a hit (sparse far-future events): direct-search
   // the minimum and jump the scan to it.
   const Key* min = nullptr;
-  for (const auto& bucket : cal_buckets_) {
+  for (const auto& bucket : cal_buckets) {
     if (!bucket.empty() && (min == nullptr || keyEarlier(bucket.front(), *min))) {
       min = &bucket.front();
     }
@@ -350,19 +399,19 @@ const EventQueue::Key* EventQueue::calPeek() {
   return min;
 }
 
-void EventQueue::calMaybeResize() {
-  const std::size_t n = cal_buckets_.size();
-  if (cal_count_ > 2 * n) {
+void EventQueue::Store::calMaybeResize() {
+  const std::size_t n = cal_buckets.size();
+  if (cal_count > 2 * n) {
     calRebuild(2 * n);
-  } else if (n > kCalMinBuckets && cal_count_ * 4 < n) {
+  } else if (n > kCalMinBuckets && cal_count * 4 < n) {
     calRebuild(n / 2);
   }
 }
 
-void EventQueue::calRebuild(std::size_t nbuckets) {
+void EventQueue::Store::calRebuild(std::size_t nbuckets) {
   std::vector<Key> all;
-  all.reserve(cal_count_);
-  for (auto& bucket : cal_buckets_) {
+  all.reserve(cal_count);
+  for (auto& bucket : cal_buckets) {
     all.insert(all.end(), bucket.begin(), bucket.end());
     bucket.clear();
   }
@@ -373,78 +422,89 @@ void EventQueue::calRebuild(std::size_t nbuckets) {
   if (all.size() >= 2) {
     const std::size_t sample = std::min<std::size_t>(all.size() - 1, 64);
     const Time span = all[sample].when - all[0].when;
-    cal_width_ = std::max<Time>(1, 3 * span / static_cast<Time>(sample));
+    cal_width = std::max<Time>(1, 3 * span / static_cast<Time>(sample));
   }
-  cal_buckets_.assign(nbuckets, {});
-  calResetScan(all.empty() ? now_ : all[0].when);
+  cal_buckets.assign(nbuckets, {});
+  // An empty calendar's scan position is moot: the next insert resets it.
+  calResetScan(all.empty() ? 0 : all[0].when);
   // Globally sorted insert order means every bucket stays sorted with
   // plain push_back.
   for (const Key& k : all) {
     const auto idx = static_cast<std::uint64_t>(k.when) /
-                     static_cast<std::uint64_t>(cal_width_);
-    cal_buckets_[static_cast<std::size_t>(idx % nbuckets)].push_back(k);
+                     static_cast<std::uint64_t>(cal_width);
+    cal_buckets[static_cast<std::size_t>(idx % nbuckets)].push_back(k);
   }
 }
 
 // -- Min extraction, shared by both implementations ---------------------------
 
-const EventQueue::Key* EventQueue::peekMinRaw() {
-  if (impl_ == QueueImpl::kHeap) {
-    return heap_.empty() ? nullptr : &heap_.front();
+const EventQueue::Key* EventQueue::Store::peekMinRaw() {
+  if (impl == QueueImpl::kCalendar) return calPeek();
+  if (window.empty()) return heap.empty() ? nullptr : &heap.front();
+  if (heap.empty() || keyEarlier(window.front(), heap.front())) {
+    return &window.front();
   }
-  return calPeek();
+  return &heap.front();
 }
 
-EventQueue::Key EventQueue::popMinRaw() {
-  if (impl_ == QueueImpl::kHeap) {
-    const Key k = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) heapSiftDown(0);
-    return k;
+EventQueue::Key EventQueue::Store::popMinRaw() {
+  if (impl == QueueImpl::kHeap) {
+    const bool from_window =
+        !window.empty() &&
+        (heap.empty() || keyEarlier(window.front(), heap.front()));
+    return heapPop(from_window ? window : heap);
   }
-  const Key* top = calPeek();  // positions cal_bucket_ at the minimum
+  const Key* top = calPeek();  // positions cal_bucket at the minimum
   const Key k = *top;
-  auto& bucket = cal_buckets_[cal_bucket_];
+  auto& bucket = cal_buckets[cal_bucket];
   bucket.erase(bucket.begin());
-  --cal_count_;
+  --cal_count;
   calMaybeResize();
   return k;
 }
 
-const EventQueue::Key* EventQueue::peekLive() {
+const EventQueue::Key* EventQueue::Store::peekLive() {
   for (;;) {
     const Key* top = peekMinRaw();
     if (top == nullptr) return nullptr;
-    if (dead_keys_ != 0 && !keyLive(*top)) {
+    if (dead_keys != 0 && !keyLive(*top)) {
       popMinRaw();
-      --dead_keys_;
+      --dead_keys;
       continue;
     }
     return top;
   }
 }
 
+// -- Execution ------------------------------------------------------------------
+
 bool EventQueue::step() {
   shard_.assertHeld();
-  if (peekLive() == nullptr) return false;
-  const Key key = popMinRaw();
-  const std::uint32_t slot = slotOf(key.id);
+  if (shard_rt_ != nullptr) return shard_rt_->step();
+  return runNext(global_);
+}
+
+bool EventQueue::runNext(Store& store) {
+  if (store.peekLive() == nullptr) return false;
+  const Key key = store.popMinRaw();
+  const std::uint32_t slot = slotOf(key.ord);
   // Move the callback out of the slab before invoking: the handler may
-  // schedule events, growing slots_ and invalidating slab references.
-  Callback cb = std::move(slots_[slot].cb);
-  const char* tag = slots_[slot].tag;
-  const Time sched_at = slots_[slot].sched_at;
-  const NodeTag node = slots_[slot].node;
-  const NodeTag sched_from = slots_[slot].sched_from;
-  releaseSlot(slot);
-  --live_;
+  // schedule events, growing the slab and invalidating slab references.
+  Slot& s = store.slots[slot];
+  Callback cb = std::move(s.cb);
+  const char* tag = s.tag;
+  const Time sched_at = s.sched_at;
+  const NodeTag node = s.node;
+  const NodeTag sched_from = s.sched_from;
+  unlinkStub(s);
+  store.releaseSlot(slot);
+  --store.live;
   // V100: simulation time is monotonic — schedule() clamps to now(),
   // so an earlier-than-now pop means the priority structure broke.
   VINI_AUDIT_CHECK(
       key.when >= now_,
       (check::Diagnostic{check::Severity::kError, "V100",
-                         "event " + std::to_string(key.id),
+                         "event " + std::to_string(key.ord),
                          "event timestamp " + std::to_string(key.when) +
                              " is earlier than now() " +
                              std::to_string(now_)}));
@@ -483,9 +543,9 @@ void EventQueue::runUntil(Time deadline) {
     shard_rt_->runUntil(deadline);
     return;
   }
-  while (const Key* top = peekLive()) {
+  while (const Key* top = global_.peekLive()) {
     if (top->when > deadline) break;
-    step();
+    runNext(global_);
   }
   if (now_ < deadline) {
     if (advance_) advance_(now_, deadline);
@@ -500,13 +560,13 @@ void EventQueue::run() {
     // full conservative horizon.
     const Duration w = shard_rt_->lookahead();
     constexpr Time kMax = std::numeric_limits<Time>::max();
-    while (const Key* top = peekLive()) {
-      const Time t = top->when;
-      shard_rt_->runUntil(t > kMax - w ? kMax : t + w);
+    Key next;
+    while (shard_rt_->earliest(next)) {
+      shard_rt_->runUntil(next.when > kMax - w ? kMax : next.when + w);
     }
     return;
   }
-  while (step()) {
+  while (runNext(global_)) {
   }
 }
 

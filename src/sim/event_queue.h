@@ -7,30 +7,33 @@
 //
 // Storage model (the bench_engine hot path):
 //
-//   * Callbacks live in a slab of reusable records (`slots_` + a free
+//   * Callbacks live in a slab of reusable records (`slots` + a free
 //     list), each holding a small-buffer-optimized InlineCallback — a
 //     scheduled event with captures up to 64 bytes costs zero heap
 //     allocations, and a fired or cancelled slot is recycled in place.
-//   * The EventId handle encodes its slab slot in the low bits and a
-//     monotone sequence number in the high bits, so cancel() finds its
-//     record and step() detects stale keys by a single id comparison —
-//     the engine keeps no hash map at all.
 //   * The priority structure orders lightweight 16-byte keys
-//     {when, id}, not the records themselves, so sift/scan moves stay
-//     inside a few cache lines.
+//     {when, ord}, not the records themselves, so sift/scan moves stay
+//     inside a few cache lines.  The order word carries the slab slot
+//     in its low bits and a monotone stamp in its high bits, so step()
+//     finds its record and detects stale keys by a single comparison —
+//     the engine keeps no hash map at all.
 //   * Two interchangeable priority structures: a 4-ary heap (default,
 //     O(log n), fully general; 4-ary rather than binary because the
 //     four children of a node share a cache line, halving the miss
 //     depth of a sift on large queues) and a calendar queue (Brown
 //     1988: O(1) amortized at high event rates when timestamps are
 //     roughly uniform, as under saturating traffic).  Both pop in
-//     exactly the same (when, id) total order, so a run is
+//     exactly the same (when, ord) total order, so a run is
 //     byte-identical under either — scripts/check.sh diffs same-seed
 //     exports across the two to enforce it, and bench_engine measures
 //     them against each other.
 //   * cancel() releases the callback (and everything it captured)
 //     eagerly and leaves only a tombstone key behind; tombstones are
 //     compacted away whenever they outnumber live keys.
+//   * A slab plus its priority structure is a Store.  The classic
+//     engine has one; the sharded engine (sim/shard.h) gives every
+//     lane its own heap-backed Store and keeps only unattributed
+//     events in the global one.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +51,9 @@ namespace vini::sim {
 class ShardRuntime;
 
 /// Opaque handle identifying a scheduled event; used for cancellation.
-/// Handles are unique for the lifetime of their queue and monotonically
-/// increasing in scheduling order; 0 is never a valid handle.
+/// A classic queue's handles increase monotonically in scheduling
+/// order; a sharded queue's name a slab slot and its generation.  0 is
+/// never a valid handle.
 using EventId = std::uint64_t;
 
 /// Small interned id for the physical node an event belongs to —
@@ -109,7 +113,7 @@ class EventQueue {
 
   QueueImpl impl() const {
     shard_.assertHeld();
-    return impl_;
+    return global_.impl;
   }
 
   /// Current simulation time.  Advances only inside run()/runUntil()/step().
@@ -198,17 +202,17 @@ class EventQueue {
   static int currentShardLane() { return worker_ctx_.lane_index; }
 
   /// Number of events still pending (cancelled events are excluded).
+  /// This and the other occupancy counts below sum every Store: the
+  /// global one and, in sharded mode, each lane's.
   std::size_t pendingCount() const {
-    shard_.assertHeld();
-    return live_;
+    return sumStores([](const Store& s) { return s.live; });
   }
 
-  /// Number of keys resident in the priority structure, *including*
+  /// Number of keys resident in the priority structures, *including*
   /// cancelled tombstones awaiting compaction — the memory the engine
   /// actually pins.
   std::size_t storageCount() const {
-    shard_.assertHeld();
-    return impl_ == QueueImpl::kHeap ? heap_.size() : cal_count_;
+    return sumStores([](const Store& s) { return s.storage(); });
   }
 
   /// Total number of events executed since construction.
@@ -218,26 +222,24 @@ class EventQueue {
   }
 
   /// High-water marks of pendingCount() / storageCount() since
-  /// construction (BENCH_engine.json's peak columns).
+  /// construction (BENCH_engine.json's peak columns); in sharded mode
+  /// the sum of each Store's own high-water mark.
   std::uint64_t peakPendingCount() const {
-    shard_.assertHeld();
-    return peak_pending_;
+    return sumStores([](const Store& s) { return s.peak_pending; });
   }
   std::uint64_t peakStorageCount() const {
-    shard_.assertHeld();
-    return peak_storage_;
+    return sumStores([](const Store& s) { return s.peak_storage; });
   }
 
   /// Slab occupancy: total slots ever allocated / slots currently free.
-  /// (slabSlotCount - slabFreeCount = live events; the gap to
-  /// storageCount is the tombstone population.)
+  /// (slabSlotCount - slabFreeCount = live events, plus in sharded
+  /// mode the forwarding stubs of events handed across lanes; the gap
+  /// to storageCount is the tombstone population.)
   std::size_t slabSlotCount() const {
-    shard_.assertHeld();
-    return slots_.size();
+    return sumStores([](const Store& s) { return s.slots.size(); });
   }
   std::size_t slabFreeCount() const {
-    shard_.assertHeld();
-    return free_slots_.size();
+    return sumStores([](const Store& s) { return s.free_slots.size(); });
   }
 
   // -- Per-node event attribution (shard-readiness telemetry) ---------------
@@ -326,116 +328,188 @@ class EventQueue {
  private:
   friend class ShardRuntime;
 
-  /// EventId layout: [ sequence : 40 | slab slot : 24 ].  The sequence
-  /// is monotone per queue (ids order by scheduling time, giving the
-  /// FIFO tie-break), and the slot gives cancel()/step() an O(1),
-  /// hash-free path to the event's record.  A stale handle — fired,
-  /// cancelled, or fabricated — is detected because its slot no longer
-  /// stores the same id.
+  /// Order word of a queued key: [stamp : 40 | slab slot : 24].  The
+  /// stamp is monotone in scheduling order (the FIFO tie-break; the
+  /// sharded engine assigns it by the rules in shard.h), and the slot
+  /// gives step()/cancel() an O(1), hash-free path to the event's
+  /// record.  In the classic engine the order word doubles as the
+  /// EventId: a stale handle — fired, cancelled, or fabricated — is
+  /// detected because its slot no longer stores the same word.
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
-  static std::uint32_t slotOf(EventId id) {
-    return static_cast<std::uint32_t>(id & kSlotMask);
+  static std::uint32_t slotOf(std::uint64_t ord) {
+    return static_cast<std::uint32_t>(ord & kSlotMask);
   }
-  static std::uint64_t seqOf(EventId id) { return id >> kSlotBits; }
+  static std::uint64_t seqOf(std::uint64_t ord) { return ord >> kSlotBits; }
+
+  /// Sharded-mode EventId: [context : 16 | generation : 31 | slot : 17].
+  /// The context is the lane (== node tag) whose Store holds the slot,
+  /// or kNoNode for the global Store; the generation is the slot's,
+  /// bumped on every release, so a stale handle never matches.
+  static constexpr unsigned kHandleSlotBits = 17;
+  static constexpr std::uint32_t kHandleSlotMask = (1u << kHandleSlotBits) - 1;
+  static constexpr std::uint32_t kGenMask = 0x7FFFFFFFu;
+  static EventId handleOf(NodeTag ctx, std::uint32_t slot, std::uint32_t gen) {
+    return (static_cast<EventId>(ctx) << 48) |
+           (static_cast<EventId>(gen) << kHandleSlotBits) | slot;
+  }
+  struct Handle {
+    NodeTag ctx;
+    std::uint32_t gen;
+    std::uint32_t slot;
+  };
+  static Handle decode(EventId h) {
+    return {static_cast<NodeTag>(h >> 48),
+            static_cast<std::uint32_t>(h >> kHandleSlotBits) & kGenMask,
+            static_cast<std::uint32_t>(h) & kHandleSlotMask};
+  }
 
   /// What the priority structures order: 16 bytes, trivially copyable.
-  /// (when, id) is a total order — ids are unique and monotone — so any
-  /// correct min-extraction yields the same deterministic sequence.
+  /// (when, ord) is a total order — stamps are unique and monotone — so
+  /// any correct min-extraction yields the same deterministic sequence.
   struct Key {
     Time when = 0;
-    EventId id = 0;
+    std::uint64_t ord = 0;
   };
   static bool keyEarlier(const Key& a, const Key& b) {
     if (a.when != b.when) return a.when < b.when;
-    return a.id < b.id;  // FIFO among equal timestamps
+    return a.ord < b.ord;  // FIFO among equal timestamps
   }
 
   /// Slab record: the callback (captures inline up to 64 bytes), the
   /// profiler tag, the node attribution (owning node, scheduling node,
   /// scheduling time — the parallelism profiler's raw material), and
-  /// the full id currently occupying the slot (0 when free — the
-  /// generation check).  Slots are recycled through free_slots_.
+  /// the order word of its queued key (0 when not queued).  Sharded
+  /// mode links Stores: a *stub* forwards (link_*) to a record in
+  /// another Store and carries its key (when, ord); the record links
+  /// back (linked, link_*) so retiring it frees the stub.
   struct Slot {
     Callback cb;
     const char* tag = nullptr;
-    EventId id = 0;
-    /// Sharded mode: the worker-issued staged id this event was
-    /// scheduled under (0 otherwise) — releasing the slot erases the
-    /// staged-id mapping so the translation table stays bounded.
-    EventId alias = 0;
+    std::uint64_t ord = 0;
+    /// Sharded mode: the timestamp of a record awaiting its stamp, or
+    /// of the record a stub forwards to.
+    Time when = 0;
     Time sched_at = 0;
+    std::uint32_t gen = 1;
     NodeTag node = kNoNode;
     NodeTag sched_from = kNoNode;
+    std::uint32_t link_slot = 0;
+    NodeTag link_ctx = kNoNode;
+    bool linked = false;
+    bool stub = false;
   };
 
-  std::uint32_t allocSlot() VINI_REQUIRES(shard_);
-  void releaseSlot(std::uint32_t slot) VINI_REQUIRES(shard_);
-  /// True while `key` refers to a live (not cancelled, not fired) event.
-  bool keyLive(const Key& key) const VINI_REQUIRES(shard_) {
-    return slots_[slotOf(key.id)].id == key.id;
+  /// A slab plus the priority structure over it.  `impl` picks heap or
+  /// calendar; lanes always use the heap.
+  struct Store {
+    explicit Store(QueueImpl impl = QueueImpl::kHeap);
+
+    /// A free slot; audits V104 past `cap` concurrent slots.
+    std::uint32_t allocSlot(std::uint32_t cap);
+    void releaseSlot(std::uint32_t slot);
+    /// True while `key` refers to a live (not cancelled, not fired) event.
+    bool keyLive(const Key& key) const {
+      return slots[slotOf(key.ord)].ord == key.ord;
+    }
+    std::size_t storage() const {
+      return impl == QueueImpl::kHeap ? heap.size() + window.size()
+                                      : cal_count;
+    }
+    /// Queue a live key (counts it pending, tracks the peaks).  A lane
+    /// queues the events it schedules inside its window `in_window`.
+    void push(const Key& key, bool in_window = false);
+    /// Earliest live key, skimming cancelled tombstones off the top; null
+    /// when empty.  The returned pointer is invalidated by any mutation.
+    const Key* peekLive();
+    Key popMinRaw();
+    /// Cancel the queued record in `slot`: release it now, leaving a
+    /// tombstone key behind.
+    void cancelQueued(std::uint32_t slot);
+
+    QueueImpl impl;
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> free_slots;
+    /// Live (pending, uncancelled) queued events.
+    std::size_t live = 0;
+    /// Tombstones: cancelled keys still sitting in the priority structure.
+    std::size_t dead_keys = 0;
+    std::uint64_t peak_pending = 0;
+    std::uint64_t peak_storage = 0;
+
+    // 4-ary heaps: `heap` for keys queued before the current window,
+    // `window` for a lane's in-window keys — small, so the hot
+    // schedule/pop cycle inside a window stays shallow; pops take the
+    // earlier of the two tops.
+    std::vector<Key> heap;
+    std::vector<Key> window;
+    // Calendar structure.  Buckets are kept sorted by (when, ord); the
+    // scan position (cal_bucket, cal_top) walks year windows exactly as
+    // in Brown's original design.
+    std::vector<std::vector<Key>> cal_buckets;
+    std::size_t cal_count = 0;
+    Time cal_width = kMillisecond;
+    std::size_t cal_bucket = 0;
+    Time cal_top = 0;
+
+   private:
+    const Key* peekMinRaw();
+    /// Drop every tombstone from the priority structure once they
+    /// outnumber live keys (dead_keys > storage/2).
+    void maybeCompact();
+    static void heapSiftUp(std::vector<Key>& h, std::size_t i);
+    static void heapSiftDown(std::vector<Key>& h, std::size_t i);
+    static void heapRebuild(std::vector<Key>& h);
+    static Key heapPop(std::vector<Key>& h);
+    void calResetScan(Time t);
+    void calInsert(const Key& k);
+    const Key* calPeek();
+    void calMaybeResize();
+    void calRebuild(std::size_t nbuckets);
+  };
+
+  /// f(store) summed over every Store.
+  template <typename F>
+  std::size_t sumStores(F f) const {
+    shard_.assertHeld();
+    std::size_t total = 0;
+    for (const Store* store : stores_) total += f(*store);
+    return total;
   }
+  /// Pop and execute the earliest event of `store` on the calling
+  /// (main) thread; false when it is empty.
+  bool runNext(Store& store) VINI_REQUIRES(shard_);
+  /// The Store a sharded context names (kNoNode: the global one).
+  Store& storeOf(NodeTag ctx) VINI_REQUIRES(shard_) {
+    return *stores_[ctx == kNoNode ? 0 : ctx + 1u];
+  }
+  /// Retire a record on the main thread: free its stub, if any.
+  void unlinkStub(const Slot& record) VINI_REQUIRES(shard_) {
+    if (record.linked) storeOf(record.link_ctx).releaseSlot(record.link_slot);
+  }
+  /// cancel() of a sharded-mode handle on the main thread.
+  bool cancelSharded(EventId id, bool audit) VINI_REQUIRES(shard_);
 
-  /// Earliest live key, skimming cancelled tombstones off the top; null
-  /// when empty.  The returned pointer is invalidated by any mutation.
-  const Key* peekLive() VINI_REQUIRES(shard_);
-  const Key* peekMinRaw() VINI_REQUIRES(shard_);
-  Key popMinRaw() VINI_REQUIRES(shard_);
-
-  // 4-ary heap primitives (impl_ == kHeap only).
-  void heapSiftUp(std::size_t i) VINI_REQUIRES(shard_);
-  void heapSiftDown(std::size_t i) VINI_REQUIRES(shard_);
-  void heapRebuild() VINI_REQUIRES(shard_);
-
-  /// Drop every tombstone from the priority structure once they
-  /// outnumber live keys (dead_keys_ > storage/2).
-  void maybeCompact() VINI_REQUIRES(shard_);
-
-  // Calendar-queue internals (impl_ == kCalendar only).  Buckets are
-  // kept sorted by (when, id); the scan position (cal_bucket_, cal_top_)
-  // walks year windows exactly as in Brown's original design.
-  void calResetScan(Time t) VINI_REQUIRES(shard_);
-  void calInsert(const Key& k) VINI_REQUIRES(shard_);
-  const Key* calPeek() VINI_REQUIRES(shard_);
-  void calMaybeResize() VINI_REQUIRES(shard_);
-  void calRebuild(std::size_t nbuckets) VINI_REQUIRES(shard_);
-
-  // The queue is the unit the sharded engine distributes: one queue per
-  // worker shard, owned exclusively by it.  Everything below is
-  // shard-owned; cross-shard event handoff will go through an explicit
-  // mailbox, never by touching another shard's members.
+  // The queue is the unit the sharded engine distributes: its lanes'
+  // Stores live in the ShardRuntime; everything below is owned by the
+  // main thread.
   core::ShardToken shard_;
-  QueueImpl impl_ VINI_GUARDED_BY(shard_) = QueueImpl::kHeap;
   // cross-shard: read by every layer via now(); sampled by observers.
   Time now_ VINI_GUARDED_BY(shard_) = 0;
+  /// Next stamp (the classic engine's sequence number).
   std::uint64_t next_seq_ VINI_GUARDED_BY(shard_) = 1;
   std::uint64_t executed_ VINI_GUARDED_BY(shard_) = 0;
-  std::uint64_t peak_pending_ VINI_GUARDED_BY(shard_) = 0;
-  std::uint64_t peak_storage_ VINI_GUARDED_BY(shard_) = 0;
-  /// Live (pending, uncancelled) events.
-  std::size_t live_ VINI_GUARDED_BY(shard_) = 0;
-  /// Tombstones: cancelled keys still sitting in the priority structure.
-  std::size_t dead_keys_ VINI_GUARDED_BY(shard_) = 0;
-  /// Set by ~EventQueue before the slab drains: dropping a stored
+  /// Set by ~EventQueue before the slabs drain: dropping a stored
   /// callback can release the last owner of an object whose destructor
   /// cancels its own timer on this queue, and that re-entrant cancel()
   /// must be a no-op rather than touch half-destroyed members.
   bool tearing_down_ VINI_GUARDED_BY(shard_) = false;
 
-  // Slab storage for callbacks; keys refer into it by index.
-  std::vector<Slot> slots_ VINI_GUARDED_BY(shard_);
-  std::vector<std::uint32_t> free_slots_ VINI_GUARDED_BY(shard_);
-
-  // 4-ary heap structure (heapSiftUp/heapSiftDown-managed).
-  // cross-shard: remote schedule() calls will land here via the mailbox.
-  std::vector<Key> heap_ VINI_GUARDED_BY(shard_);
-
-  // Calendar structure.
-  std::vector<std::vector<Key>> cal_buckets_ VINI_GUARDED_BY(shard_);
-  std::size_t cal_count_ VINI_GUARDED_BY(shard_) = 0;
-  Time cal_width_ VINI_GUARDED_BY(shard_) = kMillisecond;
-  std::size_t cal_bucket_ VINI_GUARDED_BY(shard_) = 0;
-  Time cal_top_ VINI_GUARDED_BY(shard_) = 0;
+  // cross-shard: in sharded mode lanes read it (frozen) to answer
+  // cancels of unattributed events and main-thread handles.
+  Store global_ VINI_GUARDED_BY(shard_);
+  /// The global Store, then each lane's in lane order.
+  std::vector<Store*> stores_ VINI_GUARDED_BY(shard_){&global_};
 
   ProfileHook profiler_ VINI_GUARDED_BY(shard_);
   AdvanceHook advance_ VINI_GUARDED_BY(shard_);
@@ -472,14 +546,16 @@ class EventQueue {
   static inline constinit thread_local ShardWorkerCtx worker_ctx_{};
 
   Time workerNow() const;
+  /// Takes the callback by reference: each by-value hop would relocate
+  /// it through an indirect call.
   EventId workerSchedule(Time when, const char* tag, NodeTag node,
-                         Callback cb);
+                         Callback&& cb);
   bool workerCancel(EventId id);
-  /// cancel() body for the main thread (the classic path plus
-  /// translation of worker-issued sharded ids).
+  /// cancel() body for the main thread.
   bool cancelMain(EventId id, bool audit);
 
   /// Worker threads requested at construction (0 = classic engine).
+  /// Non-zero selects the sharded handle layout from the first event.
   int shard_threads_ = 0;
   /// Set by finalizeSharding(): interning new node tags afterwards is a
   /// V106 audit error (the lane set must stay frozen).

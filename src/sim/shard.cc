@@ -3,17 +3,18 @@
 //
 // Thread roles, per round:
 //
-//   main    peekLive/popMinRaw extraction (global order), barrier
-//           apply, audits, counter folds — everything that mutates the
-//           global priority structure or the slab.
-//   workers execLane() over lane-local run lists / heaps / mailboxes,
-//           plus *read-only* probes of the global slab (cancel liveness
-//           checks).  The slab and priority structure are frozen for
-//           the duration of a window, so those reads race with nothing.
+//   main    anchor scan, serial (kNoNode) steps and the barrier —
+//           stamping held events, forwarding them to their target
+//           Stores, deferred cancels, stub frees, audits, counter
+//           folds: everything that touches more than one Store.
+//   workers execLane() over the lane's own Store, plus *read-only*
+//           probes of the global Store (cancel answers).  The global
+//           Store is frozen for the duration of a window, so those
+//           reads race with nothing.
 //
 // Hand-off points (all of which establish happens-before):
-//   extraction -> workers   next_lane_ release store, acquired by the
-//                           workers' fetch_add claims
+//   main -> workers         cursor_ release store, acquired by the
+//                           workers' claims
 //   workers -> barrier      done_ under mu_, awaited by the main thread
 #include "sim/shard.h"
 
@@ -32,8 +33,6 @@ namespace {
 constexpr Time kMaxTime = std::numeric_limits<Time>::max();
 }  // namespace
 
-int currentShardLane() { return EventQueue::currentShardLane(); }
-
 ShardRuntime::ShardRuntime(EventQueue& queue, int threads)
     : queue_(queue), threads_(threads < 1 ? 1 : threads) {}
 
@@ -46,22 +45,72 @@ ShardRuntime::~ShardRuntime() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ShardRuntime::finalize(Duration lookahead) {
-  queue_.shard_.assertHeld();
-  lookahead_ = lookahead > 0 ? lookahead : 1;
-  const std::size_t n = queue_.node_tag_names_.size();
-  // The sharded id layout reserves an 8-bit lane band (lane + 1), so at
-  // most 254 lanes fit; larger topologies need a wider band first.
+void ShardRuntime::auditStamp([[maybe_unused]] std::uint64_t stamp) {
   VINI_AUDIT_CHECK(
-      n <= 254,
+      stamp < kProvisional,
+      (check::Diagnostic{check::Severity::kError, "V107", "event queue",
+                         "sharded-mode event stamp space exhausted"}));
+}
+
+void ShardRuntime::handOver(Slot& from, NodeTag from_ctx,
+                            std::uint32_t from_slot, NodeTag to_ctx, Time when,
+                            std::uint64_t stamp) {
+  Store& to = queue_.storeOf(to_ctx);
+  const std::uint32_t r = to.allocSlot(EventQueue::kHandleSlotMask);
+  Slot& rec = to.slots[r];
+  rec.cb = std::move(from.cb);
+  rec.tag = from.tag;
+  rec.sched_at = from.sched_at;
+  rec.node = from.node;
+  rec.sched_from = from.sched_from;
+  rec.ord = (stamp << EventQueue::kSlotBits) | r;
+  rec.linked = true;
+  rec.link_ctx = from_ctx;
+  rec.link_slot = from_slot;
+  from.stub = true;
+  from.when = when;
+  from.ord = rec.ord;
+  from.link_ctx = to_ctx;
+  from.link_slot = r;
+  to.push(Key{when, rec.ord});
+}
+
+void ShardRuntime::finalize(Duration lookahead) {
+  EventQueue& q = queue_;
+  q.shard_.assertHeld();
+  lookahead_ = lookahead > 0 ? lookahead : 1;
+  const std::size_t n = q.node_tag_names_.size();
+  // A sharded handle's 16-bit context field names the lane, with
+  // kNoNode reserved for the global Store.
+  VINI_AUDIT_CHECK(
+      n <= kNoNode,
       (check::Diagnostic{check::Severity::kError, "V106", "shard runtime",
-                         "more than 254 node lanes (sharded id lane band "
-                         "is 8-bit)"}));
+                         "more than 65535 node lanes (sharded handle "
+                         "context field is 16-bit)"}));
   lanes_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     lanes_[i].index = static_cast<std::uint32_t>(i);
+    q.stores_.push_back(&lanes_[i].store);
   }
   active_.reserve(n);
+  candidates_.reserve(n);
+  // Move every node event queued during setup into its lane, oldest
+  // first, keeping its stamp; its global slot becomes the stub its
+  // handle keeps naming.
+  Store& global = q.global_;
+  std::vector<Key> keys;
+  while (global.peekLive() != nullptr) keys.push_back(global.popMinRaw());
+  global.live = 0;
+  for (const Key& key : keys) {
+    const std::uint32_t slot = EventQueue::slotOf(key.ord);
+    const NodeTag node = global.slots[slot].node;
+    if (node < n) {
+      handOver(global.slots[slot], kNoNode, slot, node, key.when,
+               EventQueue::seqOf(key.ord));
+    } else {
+      global.push(key);  // unattributed: stays global
+    }
+  }
   // The main thread participates, so N requested contexts mean N - 1
   // spawned workers; extra workers beyond the lane count just idle.
   for (int i = 1; i < threads_; ++i) {
@@ -69,21 +118,52 @@ void ShardRuntime::finalize(Duration lookahead) {
   }
 }
 
-void ShardRuntime::runUntil(Time deadline) {
+ShardRuntime::Store* ShardRuntime::earliest(Key& out) {
+  Store* best = nullptr;
+  if (const Key* top = queue_.global_.peekLive()) {
+    out = *top;
+    best = &queue_.global_;
+  }
+  candidates_.clear();
+  for (Lane& lane : lanes_) {
+    const Key* top = lane.store.peekLive();
+    if (top == nullptr) continue;
+    lane.top = *top;
+    candidates_.push_back(&lane);
+    if (best == nullptr || EventQueue::keyEarlier(*top, out)) {
+      out = *top;
+      best = &lane.store;
+    }
+  }
+  return best;
+}
+
+bool ShardRuntime::step() {
   queue_.shard_.assertHeld();
+  Key next;
+  Store* store = earliest(next);
+  return store != nullptr && queue_.runNext(*store);
+}
+
+void ShardRuntime::runUntil(Time deadline) {
   EventQueue& q = queue_;
+  q.shard_.assertHeld();
+  Key next;
   for (;;) {
-    const EventQueue::Key* top = q.peekLive();
-    if (top == nullptr || top->when > deadline) break;
-    const Time anchor = top->when;
+    Store* store = earliest(next);
+    if (store == nullptr || next.when > deadline) break;
     // Advance global time to the window anchor first: the sampler (the
     // advance hook's client) observes boundary state here, on the main
     // thread, with every worker quiescent.
-    if (anchor > q.now_) {
-      if (q.advance_) q.advance_(q.now_, anchor);
-      q.now_ = anchor;
+    if (next.when > q.now_) {
+      if (q.advance_) q.advance_(q.now_, next.when);
+      q.now_ = next.when;
     }
-    roundAt(anchor, deadline);
+    if (store == &q.global_) {
+      q.runNext(q.global_);  // a lone serial event; the next round re-anchors
+    } else {
+      roundAt(next.when, deadline);
+    }
   }
   if (q.now_ < deadline) {
     if (q.advance_) q.advance_(q.now_, deadline);
@@ -92,50 +172,29 @@ void ShardRuntime::runUntil(Time deadline) {
 }
 
 void ShardRuntime::roundAt(Time anchor, Time deadline) {
-  queue_.shard_.assertHeld();
   EventQueue& q = queue_;
-  Time horizon =
-      anchor > kMaxTime - lookahead_ ? kMaxTime : anchor + lookahead_;
+  q.shard_.assertHeld();
+  Time bound = anchor > kMaxTime - lookahead_ ? kMaxTime : anchor + lookahead_;
   // runUntil()'s contract: nothing past the deadline executes.
-  if (deadline < kMaxTime && horizon > deadline + 1) horizon = deadline + 1;
-
-  // Extract every node-attributed event below the horizon, in the
-  // global deterministic (when, id) order — the extraction sequence,
-  // and therefore each lane's run list, is a pure function of the
-  // event stream.  An unattributed (kNoNode) event stops the window:
-  // those execute serially between windows, where they may touch
-  // global state.
-  std::size_t extracted = 0;
-  for (;;) {
-    const EventQueue::Key* top = q.peekLive();
-    if (top == nullptr || top->when >= horizon) break;
-    const std::uint32_t slot = EventQueue::slotOf(top->id);
-    const NodeTag node = q.slots_[slot].node;
-    if (node == kNoNode || node >= lanes_.size()) {
-      if (extracted == 0) {
-        q.step();  // a lone serial event; the next round re-anchors
-        return;
-      }
-      horizon = top->when;  // the serial event bounds this window
-      break;
-    }
-    const EventQueue::Key key = q.popMinRaw();
-    Lane& lane = lanes_[node];
-    if (!lane.active) {
-      lane.active = true;
-      lane.local_now = anchor;
-      active_.push_back(&lane);
-    }
-    EventQueue::Slot& s = q.slots_[slot];
-    lane.run.push_back(RunEntry{std::move(s.cb), s.tag, key.when, key.id,
-                                s.sched_at, s.sched_from, false});
-    q.releaseSlot(slot);
-    --q.live_;
-    ++extracted;
+  if (deadline < kMaxTime && bound > deadline + 1) bound = deadline + 1;
+  horizon_ = Key{bound, 0};
+  // An unattributed event inside the window cuts it at its key: it
+  // runs serially once every earlier lane event has.
+  if (const Key* top = q.global_.peekLive();
+      top != nullptr && EventQueue::keyEarlier(*top, horizon_)) {
+    horizon_ = *top;
   }
-  if (extracted == 0) return;
-
-  window_end_ = horizon;
+  active_.clear();
+  for (Lane* lane : candidates_) {
+    if (!EventQueue::keyEarlier(lane->top, horizon_)) continue;
+    lane->local_now = anchor;
+    active_.push_back(lane);
+  }
+  // Active order — the barrier's stamping order — is the order in which
+  // one global extraction would first have reached each lane.
+  std::sort(active_.begin(), active_.end(), [](const Lane* a, const Lane* b) {
+    return EventQueue::keyEarlier(a->top, b->top);
+  });
   ++rounds_;
   dispatchLanes();
   applyBarrier();
@@ -150,18 +209,23 @@ void ShardRuntime::dispatchLanes() {
     // Serial lane execution — canonically equivalent, because lanes
     // are independent within a window, and required when profiling or
     // introspection hooks (which are not thread-safe) are installed.
-    for (Lane* lane : active_) execLane(*lane, hooks);
+    for (Lane* lane : active_) {
+      lane->base = queue_.next_seq_;
+      lane->based = true;
+      execLane(*lane, hooks);
+      queue_.next_seq_ += lane->issued;
+    }
   } else {
     const std::size_t count = active_.size();
     std::uint64_t round = 0;
     {
       std::lock_guard<std::mutex> lk(mu_);
       round = ++round_;
-      // The release store publishes the extraction writes to workers
-      // that claim lanes through the cursor; ordering it inside the
-      // lock means a worker that wakes on round_ always sees it.  The
-      // round tag in the cursor invalidates any straggler claim still
-      // in flight from the previous round.
+      // The release store publishes the round set-up to workers that
+      // claim lanes through the cursor; ordering it inside the lock
+      // means a worker that wakes on round_ always sees it.  The round
+      // tag in the cursor invalidates any straggler claim still in
+      // flight from the previous round.
       cursor_.store(round << kCursorRoundShift, std::memory_order_release);
       active_count_ = count;
       done_ = 0;
@@ -229,61 +293,31 @@ void ShardRuntime::execLane(Lane& lane, bool run_hooks) {
   core::setShardContext((static_cast<std::uint64_t>(lane.index) + 1) * 2);
   EventQueue::worker_ctx_ =
       ShardWorkerCtx{&queue_, &lane, static_cast<int>(lane.index)};
-  for (;;) {
-    while (lane.run_head < lane.run.size() && lane.run[lane.run_head].dead) {
-      ++lane.run_head;
-    }
-    const bool have_run = lane.run_head < lane.run.size();
-    bool use_local = false;
-    if (!lane.lheap.empty()) {
-      if (!have_run ||
-          lane.lheap.front().when < lane.run[lane.run_head].when) {
-        // Timestamp ties go to the run list: extracted events carry
-        // earlier global ids than anything scheduled inside the
-        // window, so this is exactly the classic FIFO tie-break.
-        use_local = true;
-      }
-    } else if (!have_run) {
-      break;
-    }
-    EventQueue::Callback cb;
-    const char* tag = nullptr;
-    Time when = 0;
-    Time sched_at = 0;
-    NodeTag sched_from = kNoNode;
-    if (use_local) {
-      std::pop_heap(lane.lheap.begin(), lane.lheap.end(), localKeyAfter);
-      const LocalKey lk = lane.lheap.back();
-      lane.lheap.pop_back();
-      LocalEvent& ev = lane.lslab[lk.idx];
-      if (!ev.live) {  // cancelled inside the window
-        lane.lfree.push_back(lk.idx);
-        continue;
-      }
-      cb = std::move(ev.cb);
-      tag = ev.tag;
-      when = lk.when;
-      sched_at = ev.sched_at;
-      sched_from = ev.sched_from;
-      ev.cb.reset();
-      ev.live = false;
-      lane.lfree.push_back(lk.idx);
-    } else {
-      RunEntry& e = lane.run[lane.run_head++];
-      cb = std::move(e.cb);
-      tag = e.tag;
-      when = e.when;
-      sched_at = e.sched_at;
-      sched_from = e.sched_from;
-    }
+  Store& store = lane.store;
+  const Key horizon = horizon_;
+  lane.provisional = 0;
+  while (const Key* top = store.peekLive()) {
+    if (!EventQueue::keyEarlier(*top, horizon)) break;
+    const Key key = store.popMinRaw();
+    const std::uint32_t slot = EventQueue::slotOf(key.ord);
+    // Move the callback out before invoking: the handler may schedule,
+    // growing the slab.
+    Slot& s = store.slots[slot];
+    EventQueue::Callback cb = std::move(s.cb);
+    const char* tag = s.tag;
+    const Time sched_at = s.sched_at;
+    const NodeTag sched_from = s.sched_from;
+    retire(lane, s);
+    store.releaseSlot(slot);
+    --store.live;
     // Lane-local monotonicity (the V100 invariant, deferred: workers
     // never touch the audit sink — the barrier raises it).
-    if (when < lane.local_now) lane.monotonic_violation = true;
-    lane.local_now = when;
+    if (key.when < lane.local_now) lane.monotonic_violation = true;
+    lane.local_now = key.when;
     ++lane.executed;
     if (run_hooks && queue_.introspect_) {
       queue_.introspect_(EventQueue::ExecEvent{
-          when, sched_at, static_cast<NodeTag>(lane.index), sched_from});
+          key.when, sched_at, static_cast<NodeTag>(lane.index), sched_from});
     }
     if (run_hooks && queue_.profiler_) {
       const auto start = std::chrono::steady_clock::now();
@@ -299,14 +333,18 @@ void ShardRuntime::execLane(Lane& lane, bool run_hooks) {
       cb();
     }
   }
-  lane.run.clear();
-  lane.run_head = 0;
   EventQueue::worker_ctx_ = ShardWorkerCtx{};
   core::setShardContext(0);
 }
 
+void ShardRuntime::retire(Lane& lane, const Slot& record) {
+  if (record.linked) {
+    lane.retired_stubs.emplace_back(record.link_ctx, record.link_slot);
+  }
+}
+
 EventId ShardRuntime::workerSchedule(Lane& lane, Time when, const char* tag,
-                                     NodeTag node, EventQueue::Callback cb) {
+                                     NodeTag node, EventQueue::Callback&& cb) {
   if (when < lane.local_now) when = lane.local_now;
   // Same accounting the classic engine keeps in schedule(): a lane
   // handler is by construction attributed to the lane's node.
@@ -321,201 +359,129 @@ EventId ShardRuntime::workerSchedule(Lane& lane, Time when, const char* tag,
       ++lane.cross_sched;
     }
   }
-  if (node == lane.index && when < window_end_) {
-    // Same lane, inside the window: executes locally, this round.
-    std::uint32_t idx;
-    if (!lane.lfree.empty()) {
-      idx = lane.lfree.back();
-      lane.lfree.pop_back();
-    } else {
-      idx = static_cast<std::uint32_t>(lane.lslab.size());
-      lane.lslab.emplace_back();
-    }
-    LocalEvent& ev = lane.lslab[idx];
-    ev.cb = std::move(cb);
-    ev.tag = tag;
-    ev.when = when;
-    ev.sched_at = lane.local_now;
-    ev.sched_from = static_cast<NodeTag>(lane.index);
-    ev.seq = lane.local_seq++ & 0x7FFFFFFFu;  // id carries 31 seq bits
-    ev.live = true;
-    lane.lheap.push_back(LocalKey{when, lane.local_rank++, idx});
-    std::push_heap(lane.lheap.begin(), lane.lheap.end(), localKeyAfter);
-    return localId(lane.index, ev.seq, idx);
+  Store& store = lane.store;
+  const std::uint32_t slot = store.allocSlot(EventQueue::kHandleSlotMask);
+  Slot& s = store.slots[slot];
+  s.cb = std::move(cb);
+  s.tag = tag;
+  s.sched_at = lane.local_now;
+  s.node = node;
+  s.sched_from = static_cast<NodeTag>(lane.index);
+  if (node == lane.index && when < horizon_.when) {
+    // Own node, inside the window: runs this round, after every key
+    // queued before the window and in issue order among its peers.
+    s.ord = ((kProvisional | lane.provisional++) << EventQueue::kSlotBits) |
+            slot;
+    store.push(Key{when, s.ord}, /*in_window=*/true);
+  } else if (const std::uint64_t offset = lane.issued++;
+             node == lane.index && lane.based) {
+    s.ord = ((lane.base + offset) << EventQueue::kSlotBits) | slot;
+    store.push(Key{when, s.ord});
+  } else {
+    // Held for the barrier, which knows the base and the target Store.
+    s.when = when;
+    lane.held.push_back(Held{slot, s.gen, offset});
   }
-  // Everything else — same-lane beyond the horizon, cross-lane,
-  // unattributed — is staged and merged into the global structure at
-  // the barrier, in deterministic lane-major issue order.
-  const EventId id = stagedId(lane.index, lane.staged_seq++);
-  lane.staged.push_back(StagedOp{when, tag, node, std::move(cb), id, false});
-  return id;
+  return EventQueue::handleOf(static_cast<NodeTag>(lane.index), slot, s.gen);
 }
 
 bool ShardRuntime::workerCancel(Lane& lane, EventId id) {
-  if (id == 0) return false;
-  if (isShardId(id)) {
-    const std::uint32_t id_lane = laneOf(id);
-    if (id_lane != lane.index) {
-      // Another lane's handle: resolution must wait for the barrier
-      // (its window-local state is not ours to touch).  Report "not
-      // cancelled" — if the event is window-local it executes anyway,
-      // and a staged target is cancelled quietly at the barrier.
-      ++lane.cross_cancels;
-      lane.staged_cancels.push_back(id);
-      return false;
-    }
-    if ((id & kStagedBit) != 0) {
-      // Our own staged id: still in this round's mailbox, or already
-      // remapped to a global id by an earlier barrier.
-      for (auto it = lane.staged.rbegin(); it != lane.staged.rend(); ++it) {
-        if (it->staged_id == id) {
-          if (it->cancelled) {
-            ++lane.stale_cancels;
-            return false;
-          }
-          it->cancelled = true;
-          it->cb.reset();
-          return true;
-        }
-      }
-      const auto it = staged_id_map_.find(id);  // frozen during windows
-      if (it == staged_id_map_.end()) {
-        ++lane.stale_cancels;
-        return false;
-      }
-      return stageGlobalCancel(lane, it->second);
-    }
-    // Our own window-local id.
-    const std::uint32_t idx = static_cast<std::uint32_t>(id & 0xFFFFFFu);
-    const std::uint32_t seq =
-        static_cast<std::uint32_t>(id >> 24) & 0x7FFFFFFFu;
-    if (idx >= lane.lslab.size() || !lane.lslab[idx].live ||
-        lane.lslab[idx].seq != seq) {
-      ++lane.stale_cancels;
-      return false;
-    }
-    lane.lslab[idx].live = false;
-    lane.lslab[idx].cb.reset();
-    return true;
-  }
-  // A classic id: it may sit in our own run list (extracted this
-  // round), or still in the (frozen) global structure.
-  for (std::size_t i = lane.run_head; i < lane.run.size(); ++i) {
-    if (lane.run[i].id == id) {
-      if (lane.run[i].dead) {
-        ++lane.stale_cancels;
-        return false;
-      }
-      lane.run[i].dead = true;
-      lane.run[i].cb.reset();
-      return true;
-    }
-  }
-  for (std::size_t i = 0; i < lane.run_head; ++i) {
-    if (lane.run[i].id == id) {
-      ++lane.stale_cancels;  // already executed inside this window
-      return false;
-    }
-  }
-  return stageGlobalCancel(lane, id);
-}
-
-bool ShardRuntime::stageGlobalCancel(Lane& lane, EventId real) {
-  // The global slab is frozen for the window, so this read races with
-  // nothing; the mutation itself waits for the barrier.
-  const std::uint32_t slot = EventQueue::slotOf(real);
-  if (slot >= queue_.slots_.size() || queue_.slots_[slot].id != real) {
-    ++lane.stale_cancels;  // fired, cancelled, or extracted to a lane
+  const EventQueue::Handle h = EventQueue::decode(id);
+  if (h.ctx != lane.index && h.ctx != kNoNode) {
+    // Another lane's handle: resolution must wait for the barrier (its
+    // Store is not ours to touch).  Report "not cancelled" — an event
+    // due inside this window executes anyway; a later one is cancelled
+    // quietly at the barrier.
+    lane.staged_cancels.push_back(id);
     return false;
   }
-  lane.staged_cancels.push_back(real);
+  // Our own Store, or the global one (frozen for the window).
+  Store& store = h.ctx == kNoNode ? queue_.global_ : lane.store;
+  const std::uint32_t slot = h.slot;
+  if (slot >= store.slots.size() || store.slots[slot].gen != h.gen) {
+    ++lane.stale_cancels;
+    return false;
+  }
+  const Slot& s = store.slots[slot];
+  if (s.stub) return cancelViaStub(lane, s, id);
+  if (h.ctx == kNoNode) {
+    // An unattributed event: it cannot run before the barrier.
+    lane.staged_cancels.push_back(id);
+  } else if (s.ord == 0) {
+    store.releaseSlot(slot);  // held: the barrier skips the new generation
+  } else {
+    retire(lane, s);
+    store.cancelQueued(slot);
+  }
   return true;
 }
 
-bool ShardRuntime::mainCancel(EventId id) {
-  queue_.shard_.assertHeld();
-  if ((id & kStagedBit) != 0) {
-    const auto it = staged_id_map_.find(id);
-    if (it != staged_id_map_.end()) {
-      return queue_.cancelMain(it->second, /*audit=*/true);
-    }
+bool ShardRuntime::cancelViaStub(Lane& lane, const Slot& stub, EventId id) {
+  if (!EventQueue::keyEarlier(Key{stub.when, stub.ord}, horizon_)) {
+    // The record cannot run before the barrier: defer the mutation.
+    lane.staged_cancels.push_back(id);
+    return true;
   }
-  // A window-local id, or a staged id whose event already resolved:
-  // the deterministic stale-handle path, same contract as classic.
-  VINI_AUDIT_CHECK(
-      false,
-      (check::Diagnostic{check::Severity::kWarning, "V101",
-                         "event " + std::to_string(id),
-                         "cancel() of a sharded event that already fired or "
-                         "was already cancelled"}));
+  // The record runs, or ran, inside this window; only its own lane can
+  // still stop it.
+  if (stub.link_ctx == lane.index &&
+      lane.store.slots[stub.link_slot].ord == stub.ord) {
+    retire(lane, lane.store.slots[stub.link_slot]);
+    lane.store.cancelQueued(stub.link_slot);
+    return true;
+  }
+  ++lane.stale_cancels;
   return false;
 }
 
-void ShardRuntime::dropAlias(EventId staged_id) {
-  staged_id_map_.erase(staged_id);
-}
-
 void ShardRuntime::applyBarrier() {
-  queue_.shard_.assertHeld();
   EventQueue& q = queue_;
-  // Phase 1: staged schedules, lane-major then issue order — a fixed
-  // merge order, independent of worker interleaving, so the global
-  // sequence numbers (and every later FIFO tie-break) are too.
+  q.shard_.assertHeld();
   std::uint64_t round_violations = 0;
-  for (Lane* lp : active_) {
-    for (StagedOp& op : lp->staged) {
-      if (op.cancelled) continue;
-      if (op.when < window_end_) {
-        // A cross-lane event landed inside the conservative window:
-        // the lookahead bound (min cross-node propagation) was not
-        // respected by some schedule.  Execution stays deterministic —
-        // the event runs at its true time in a later round — but the
-        // target lane may already have acted past it, so flag it.
-        if (op.node != kNoNode) {
-          ++round_violations;
-        } else {
-          ++deferred_unattributed_;
-        }
-      }
-      const EventId real =
-          q.schedule(op.when, op.tag, op.node, std::move(op.cb));
-      q.slots_[EventQueue::slotOf(real)].alias = op.staged_id;
-      staged_id_map_.emplace(op.staged_id, real);
-    }
-    lp->staged.clear();
-  }
-  VINI_AUDIT_CHECK(
-      round_violations == 0,
-      (check::Diagnostic{
-          check::Severity::kWarning, "V108",
-          "shard round " + std::to_string(rounds_),
-          std::to_string(round_violations) +
-              " cross-lane event(s) scheduled inside the conservative "
-              "lookahead window"}));
-  lookahead_violations_ += round_violations;
-  // Phase 2: staged cancels, same order.  Quiet: a target that already
-  // resolved is the expected outcome of a deferred cancel, not V101.
-  for (Lane* lp : active_) {
-    for (const EventId id : lp->staged_cancels) {
-      if (isShardId(id)) {
-        if ((id & kStagedBit) != 0) {
-          const auto it = staged_id_map_.find(id);
-          if (it != staged_id_map_.end()) {
-            q.cancelMain(it->second, /*audit=*/false);
-          }
-        }
-        // A foreign window-local id died with its window: stale, done.
-      } else {
-        q.cancelMain(id, /*audit=*/false);
-      }
-    }
-    lp->staged_cancels.clear();
-  }
-  raiseBarrierAudits();
-  // Phase 3: fold per-lane tallies into the queue's telemetry (the
-  // same counters the classic engine keeps inline) and reset.
+  std::uint64_t stale = 0;
+  bool monotonic_ok = true;
+  bool cancels = false;
   for (Lane* lp : active_) {
     Lane& lane = *lp;
+    // Free the stubs of records the lane retired.
+    for (const auto& [ctx, slot] : lane.retired_stubs) {
+      q.storeOf(ctx).releaseSlot(slot);
+    }
+    lane.retired_stubs.clear();
+    // Stamp held events, active order then issue order — the order one
+    // global queue would have numbered them in — and queue each in its
+    // target Store.
+    if (!lane.based) {
+      lane.base = q.next_seq_;
+      q.next_seq_ += lane.issued;
+    }
+    auditStamp(q.next_seq_);
+    for (const Held& h : lane.held) {
+      Slot& s = lane.store.slots[h.slot];
+      if (s.gen != h.gen) continue;  // cancelled inside the window
+      const std::uint64_t stamp = lane.base + h.offset;
+      if (s.node == lane.index) {
+        s.ord = (stamp << EventQueue::kSlotBits) | h.slot;
+        lane.store.push(Key{s.when, s.ord});
+        continue;
+      }
+      // A cross-lane event landed inside the conservative window: the
+      // lookahead bound (min cross-node propagation) was not respected
+      // by some schedule.  Execution stays deterministic — the event
+      // runs at its true time in a later round — but the target lane
+      // may already have acted past it, so flag it.
+      if (s.when < horizon_.when && s.node != kNoNode) ++round_violations;
+      handOver(s, static_cast<NodeTag>(lane.index), h.slot,
+               s.node < lanes_.size() ? s.node : kNoNode, s.when, stamp);
+    }
+    lane.held.clear();
+    lane.issued = 0;
+    lane.based = false;
+    // Fold the lane's tallies into the queue's telemetry (the same
+    // counters the classic engine keeps inline) and reset.
+    cancels = cancels || !lane.staged_cancels.empty();
+    stale += lane.stale_cancels;
+    monotonic_ok = monotonic_ok && !lane.monotonic_violation;
     q.executed_ += lane.executed;
     q.node_executed_[lane.index] += lane.executed;
     q.same_node_scheduled_ += lane.same_sched;
@@ -526,29 +492,21 @@ void ShardRuntime::applyBarrier() {
       }
       q.cross_node_scheduled_ += lane.cross_sched;
     }
-    cross_lane_cancels_ += lane.cross_cancels;
     lane.executed = 0;
     lane.same_sched = 0;
     lane.cross_sched = 0;
     lane.min_cross_delay = 0;
     lane.stale_cancels = 0;
-    lane.bad_cancels = 0;
-    lane.cross_cancels = 0;
     lane.monotonic_violation = false;
-    lane.local_rank = 0;
-    lane.active = false;
   }
-  active_.clear();
-}
-
-void ShardRuntime::raiseBarrierAudits() {
-#if VINI_AUDIT_ENABLED
-  std::uint64_t stale = 0;
-  bool monotonic_ok = true;
-  for (const Lane* lp : active_) {
-    stale += lp->stale_cancels;
-    if (lp->monotonic_violation) monotonic_ok = false;
-  }
+  VINI_AUDIT_CHECK(
+      round_violations == 0,
+      (check::Diagnostic{
+          check::Severity::kWarning, "V108",
+          "shard round " + std::to_string(rounds_),
+          std::to_string(round_violations) +
+              " cross-lane event(s) scheduled inside the conservative "
+              "lookahead window"}));
   VINI_AUDIT_CHECK(
       monotonic_ok,
       (check::Diagnostic{check::Severity::kError, "V100",
@@ -561,7 +519,16 @@ void ShardRuntime::raiseBarrierAudits() {
           "shard round " + std::to_string(rounds_),
           std::to_string(stale) +
               " cancel(s) of already-resolved events inside worker lanes"}));
-#endif
+  // Deferred cancels, same order, once every held event has its Store.
+  // Quiet: a target that already resolved is the expected outcome of a
+  // deferred cancel, not V101.
+  if (cancels) {
+    for (Lane* lp : active_) {
+      for (const EventId id : lp->staged_cancels) q.cancelMain(id, false);
+      lp->staged_cancels.clear();
+    }
+  }
+  active_.clear();
 }
 
 // -- EventQueue's worker-context trampolines ---------------------------------
@@ -575,7 +542,7 @@ Time EventQueue::workerNow() const {
 }
 
 EventId EventQueue::workerSchedule(Time when, const char* tag, NodeTag node,
-                                   Callback cb) {
+                                   Callback&& cb) {
   auto* lane = static_cast<ShardRuntime::Lane*>(worker_ctx_.lane);
   return shard_rt_->workerSchedule(*lane, when, tag, node, std::move(cb));
 }

@@ -3,36 +3,48 @@
 // The ShardRuntime shards a run across worker threads by physical node
 // (one *lane* per interned NodeTag) with conservative lookahead
 // windows, the architecture ROADMAP item 2 sketches and the
-// obs::ParallelismProfiler models:
+// obs::ParallelismProfiler models.  Each lane owns an EventQueue::Store
+// (slab + 4-ary heap) with every pending event of its node; the
+// queue's global Store keeps only unattributed (kNoNode) events.
 //
-//   * Each round anchors a window at T (the earliest pending event) and
-//     closes it at b1 = T + W, where W is the minimum cross-node link
-//     propagation delay (PhysNetwork::minPropagation()).  Every
-//     node-attributed event with timestamp < b1 is extracted — in the
-//     global deterministic (when, id) order — into its lane's run list.
-//   * Lanes execute concurrently on a pool of workers (work-stealing
-//     over an atomic cursor; the main thread participates).  An event a
-//     lane schedules onto *its own* node inside the window executes
-//     locally, in a window-local heap; everything else — same-lane
-//     events at or beyond b1, cross-lane events (which conservative
-//     lookahead guarantees land at >= b1), unattributed events — is
-//     staged in per-lane mailboxes.
-//   * At the barrier the main thread applies the mailboxes in a fixed
-//     order (lane by lane, issue order within a lane), so the global
-//     structure's contents — and therefore every later window — are
-//     independent of worker interleaving.
-//   * Events with no owning node (kNoNode: fault injections, topology
-//     reroutes, protocol timers that never took a node tag) execute
-//     serially on the main thread between windows, where they may
-//     safely touch global state.
+//   * A round anchors at T, the earliest key over the global top and
+//     the lane tops.  An unattributed event there runs serially on the
+//     main thread, where it may touch global state.
+//   * Otherwise the window ends at the horizon key H = (T + W, 0), W the
+//     minimum cross-node propagation delay
+//     (PhysNetwork::minPropagation()), or at the global top's key if
+//     that is earlier.  Lanes whose top key is below H run concurrently
+//     on a worker pool (work-stealing over an atomic cursor; the main
+//     thread participates), each popping its own heap while the top
+//     stays below H.
+//   * An event a lane schedules onto its own node inside the window
+//     goes straight into its heap.  Anything else — own-node events at
+//     or past H, cross-lane events (which lookahead puts at >= H),
+//     unattributed events — is *held* in the lane's slab: its
+//     tie-break stamp is only known at the barrier, which stamps held
+//     events lanes in active order, issue order within a lane, and
+//     queues each in its target Store.
 //
-// Determinism: lane assignment (by node tag), extraction order (global
-// (when, id) order), intra-lane execution order ((when, rank) with
-// ranks that encode the classic FIFO tie-break), and barrier merge
-// order (lane-major, issue-order) are all pure functions of the event
-// stream — never of thread count or OS scheduling.  Same seed, same
-// bytes, any --threads value; scripts/check.sh stage 5h byte-diffs
-// 1-, 2- and 8-thread exports to enforce it.
+// Determinism: keys are (when, stamp), and the stamps are exactly the
+// sequence numbers one global queue would assign — main-thread
+// schedules in call order, held events in (active rank, issue) order,
+// where the active rank orders lanes by their top key at round start
+// (the order a global extraction would first reach them).  Events
+// scheduled inside the window carry provisional stamps above every
+// real one, in issue order, so timestamp ties keep the classic FIFO
+// tie-break.  Nothing depends on thread count or OS scheduling: same
+// seed, same bytes, any --threads value; scripts/check.sh stage 5h
+// byte-diffs 1-, 2- and 8-thread exports to enforce it.
+//
+// Handles: a sharded EventId names (context, slot, generation).  An
+// event issued into another context (main thread to a lane, a lane to
+// another lane or to the global Store) leaves a stub in the issuer's
+// slab that forwards to it, so the handle stays valid; the barrier
+// frees the stub when the record retires.  A lane cancels its own
+// events at once.  It answers a cancel through a stub, or of an event
+// in the frozen global Store, from the key, and defers the mutation to
+// the barrier; another lane's handle is deferred and reported as not
+// cancelled.
 #pragma once
 
 #include <atomic>
@@ -40,17 +52,12 @@
 #include <cstdint>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
 
 namespace vini::sim {
-
-/// Lane the calling thread is currently executing for the sharded
-/// engine, or -1 when it is not inside a lane (the observability layer
-/// routes recording to per-lane partitions off this).
-int currentShardLane();
 
 class ShardRuntime {
  public:
@@ -60,111 +67,56 @@ class ShardRuntime {
   ShardRuntime(const ShardRuntime&) = delete;
   ShardRuntime& operator=(const ShardRuntime&) = delete;
 
-  /// Freeze the lane set (one lane per interned node tag), fix the
-  /// conservative lookahead window, and spawn the worker pool.  Must be
-  /// called after every component interned its node tag and before the
-  /// first sharded runUntil().
+  /// Freeze the lane set (one lane per interned node tag), move every
+  /// node event queued so far into its lane, fix the conservative
+  /// lookahead window, and spawn the worker pool.  Must be called after
+  /// every component interned its node tag and before the first
+  /// sharded runUntil().
   void finalize(Duration lookahead);
-  bool finalized() const { return !lanes_.empty(); }
 
-  int threads() const { return threads_; }
   std::size_t laneCount() const { return lanes_.size(); }
   Duration lookahead() const { return lookahead_; }
 
-  /// Rounds executed and the counters the determinism audits fold in.
-  std::uint64_t roundsExecuted() const { return rounds_; }
-  std::uint64_t lookaheadViolations() const { return lookahead_violations_; }
-  std::uint64_t deferredUnattributed() const { return deferred_unattributed_; }
-  std::uint64_t crossLaneCancels() const { return cross_lane_cancels_; }
-
-  // -- Sharded id layout ------------------------------------------------------
-  //
-  // Ids the runtime issues from worker context carry a lane band in the
-  // top byte so they can never collide with the classic
-  // [seq:40|slot:24] encoding (whose top byte stays zero while
-  // next_seq_ < 2^31, audited in sharded mode):
-  //
-  //   window-local: [lane+1 : 8 | 0 : 1 | seq : 31 | slab index : 24]
-  //   staged:       [lane+1 : 8 | 1 : 1 | seq : 55]
-  //
-  // A staged id is remapped to the real global id the barrier apply
-  // assigns (staged_id_map_), so handles stay cancellable forever; a
-  // window-local id dies with its window and any later cancel is the
-  // deterministic stale-handle path.
-  static constexpr unsigned kLaneShift = 56;
-  static constexpr std::uint64_t kStagedBit = 1ull << 55;
-  static bool isShardId(EventId id) { return (id >> kLaneShift) != 0; }
-
  private:
   friend class EventQueue;
+  using Key = EventQueue::Key;
+  using Slot = EventQueue::Slot;
+  using Store = EventQueue::Store;
 
-  struct RunEntry {
-    EventQueue::Callback cb;
-    const char* tag = nullptr;
-    Time when = 0;
-    EventId id = 0;
-    Time sched_at = 0;
-    NodeTag sched_from = kNoNode;
-    bool dead = false;
-  };
+  /// Provisional stamps (events scheduled inside a window) set the top
+  /// stamp bit, so they order after every real stamp; real stamps are
+  /// audited to stay below it (V107).
+  static constexpr std::uint64_t kProvisional = 1ull << 39;
+  static void auditStamp(std::uint64_t stamp);
 
-  struct LocalEvent {
-    EventQueue::Callback cb;
-    const char* tag = nullptr;
-    Time when = 0;
-    Time sched_at = 0;
-    NodeTag sched_from = kNoNode;
-    std::uint32_t seq = 0;  ///< generation check for window-local ids
-    bool live = false;
-  };
-
-  /// Window-local heap key: rank is the lane's issue order, which is
-  /// the classic FIFO tie-break among window-local events (run-list
-  /// entries always win timestamp ties — they carry earlier global
-  /// ids than anything scheduled inside the window).
-  struct LocalKey {
-    Time when = 0;
-    std::uint64_t rank = 0;
-    std::uint32_t idx = 0;
-  };
-  /// Comparator for std::push_heap/pop_heap (a min-heap needs "after").
-  static bool localKeyAfter(const LocalKey& a, const LocalKey& b) {
-    if (a.when != b.when) return a.when > b.when;
-    return a.rank > b.rank;
-  }
-
-  struct StagedOp {
-    Time when = 0;
-    const char* tag = nullptr;
-    NodeTag node = kNoNode;
-    EventQueue::Callback cb;
-    EventId staged_id = 0;
-    bool cancelled = false;
+  /// A lane-held event: its slot, the generation that drops it if the
+  /// slot was cancelled (and perhaps reused) inside the window, and its
+  /// stamp's offset from the lane's base.
+  struct Held {
+    std::uint32_t slot = 0;
+    std::uint32_t gen = 0;
+    std::uint64_t offset = 0;
   };
 
   struct Lane {
     std::uint32_t index = 0;  ///< == the NodeTag this lane owns
+    Store store;
 
-    // Filled by the main thread during extraction, drained by exec.
-    std::vector<RunEntry> run;
-    std::size_t run_head = 0;
-
-    // Window-local events (same lane, timestamp inside the window).
-    std::vector<LocalKey> lheap;
-    std::vector<LocalEvent> lslab;
-    std::vector<std::uint32_t> lfree;
-    std::uint64_t local_rank = 0;
-
-    // Mailboxes the barrier applies in deterministic order.
-    std::vector<StagedOp> staged;
+    // Filled during the window, drained by the barrier in this order.
+    std::vector<Held> held;
     std::vector<EventId> staged_cancels;
+    /// Stubs in other Stores whose records this lane retired.
+    std::vector<std::pair<NodeTag, std::uint32_t>> retired_stubs;
 
+    Key top;  ///< earliest live key at round start
     Time local_now = 0;
-    bool active = false;
-
-    // Persistent id generators (ids must stay unique across rounds).
-    std::uint32_t local_seq = 1;
-    std::uint64_t staged_seq = 1;
+    std::uint64_t provisional = 0;  ///< in-window issue counter
+    /// A round's other schedules are stamped base + issue index.  A
+    /// serial dispatch knows the base at the lane's turn (`based`) and
+    /// queues own-node events at once; otherwise the barrier sets it.
+    std::uint64_t base = 0;
+    std::uint64_t issued = 0;
+    bool based = false;
 
     // Per-round results, folded into the queue's counters at the
     // barrier (workers never touch shared counters or the audit sink).
@@ -173,39 +125,44 @@ class ShardRuntime {
     std::uint64_t cross_sched = 0;
     Duration min_cross_delay = 0;
     std::uint64_t stale_cancels = 0;
-    std::uint64_t bad_cancels = 0;
-    std::uint64_t cross_cancels = 0;
     bool monotonic_violation = false;
   };
 
   // -- Main-thread round machinery -------------------------------------------
   void runUntil(Time deadline);
-  /// One round at window anchor T: either a single serial (kNoNode)
-  /// step or a full extract / parallel-execute / barrier-apply cycle.
-  void roundAt(Time T, Time deadline);
+  /// Execute the single earliest event on the main thread.
+  bool step();
+  /// The Store holding the earliest live key (copied to `out`), or null
+  /// when every Store is empty.  Refreshes each lane's `top` and lists
+  /// the non-empty lanes in `candidates_`.
+  Store* earliest(Key& out);
+  /// One parallel round anchored at T = `anchor`.
+  void roundAt(Time anchor, Time deadline);
   void dispatchLanes();
   void applyBarrier();
-  void raiseBarrierAudits();
+  /// Move the record in `from` (slot `from_slot` of context `from_ctx`)
+  /// into a fresh slot of context `to_ctx`, queue it at (when, stamp),
+  /// and turn `from` into the stub that forwards to it.
+  void handOver(Slot& from, NodeTag from_ctx, std::uint32_t from_slot,
+                NodeTag to_ctx, Time when, std::uint64_t stamp)
+      VINI_NO_THREAD_SAFETY_ANALYSIS;
 
   // -- Worker-side entry points (reached via EventQueue's dispatch) -----------
   //
   // These run on worker threads against lane-local state (plus frozen
-  // reads of the global slab), outside the static analysis's capability
-  // model; the runtime ShardToken epochs police them instead.
-  Time workerNow(const Lane& lane) const { return lane.local_now; }
+  // reads of the global Store), outside the static analysis's
+  // capability model; the runtime ShardToken epochs police them instead.
   EventId workerSchedule(Lane& lane, Time when, const char* tag, NodeTag node,
-                         EventQueue::Callback cb) VINI_NO_THREAD_SAFETY_ANALYSIS;
-  bool workerCancel(Lane& lane, EventId id) VINI_NO_THREAD_SAFETY_ANALYSIS;
-  /// Stage a cancel of a classic (global-structure) id from a lane:
-  /// reads the frozen slab to answer the caller, defers the mutation.
-  bool stageGlobalCancel(Lane& lane, EventId real)
+                         EventQueue::Callback&& cb)
       VINI_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// Cancel of a sharded id arriving on the main thread (a serial-burst
-  /// handler cancelling a worker-issued handle).
-  bool mainCancel(EventId id);
-  void dropAlias(EventId staged_id);
-
+  bool workerCancel(Lane& lane, EventId id) VINI_NO_THREAD_SAFETY_ANALYSIS;
+  /// A lane cancels through a stub (its own, or one in the global
+  /// Store) forwarding to a record in some lane or the global Store.
+  bool cancelViaStub(Lane& lane, const Slot& stub, EventId id)
+      VINI_NO_THREAD_SAFETY_ANALYSIS;
+  /// A record in the lane's own Store retires (fires or is cancelled):
+  /// have the barrier free its stub, if any.
+  static void retire(Lane& lane, const Slot& record);
   void execLane(Lane& lane, bool run_hooks) VINI_NO_THREAD_SAFETY_ANALYSIS;
   /// Work-steal lanes off the cursor.  `count` is the round's lane
   /// count and `round` its generation, both snapshotted under mu_ —
@@ -223,32 +180,17 @@ class ShardRuntime {
   bool claimSlot(std::uint64_t round, std::size_t count, std::size_t& out);
   void workerLoop();
 
-  static EventId localId(std::uint32_t lane, std::uint32_t seq,
-                         std::uint32_t idx) {
-    return (static_cast<EventId>(lane + 1) << kLaneShift) |
-           (static_cast<EventId>(seq & 0x7FFFFFFFu) << 24) | idx;
-  }
-  static EventId stagedId(std::uint32_t lane, std::uint64_t seq) {
-    return (static_cast<EventId>(lane + 1) << kLaneShift) | kStagedBit |
-           (seq & (kStagedBit - 1));
-  }
-  static std::uint32_t laneOf(EventId id) {
-    return static_cast<std::uint32_t>(id >> kLaneShift) - 1;
-  }
-
   EventQueue& queue_;
   const int threads_;
   Duration lookahead_ = 1;
   std::vector<Lane> lanes_;
+  /// Non-empty lanes, from the latest earliest() scan.
+  std::vector<Lane*> candidates_;
+  /// The current window's horizon key (see the header comment).
+  Key horizon_;
 
-  /// staged id -> real global id, populated at barrier apply, erased
-  /// when the real event fires or is cancelled (Slot::alias back-ref).
-  std::unordered_map<EventId, EventId> staged_id_map_;
-
+  /// Rounds executed (names the round in barrier audits).
   std::uint64_t rounds_ = 0;
-  std::uint64_t lookahead_violations_ = 0;
-  std::uint64_t deferred_unattributed_ = 0;
-  std::uint64_t cross_lane_cancels_ = 0;
 
   // Pool state.  No waits are timed (srclint V203): workers block on
   // the round counter and the main thread blocks on the done counter.
@@ -264,14 +206,13 @@ class ShardRuntime {
   std::size_t active_count_ = 0;
   /// Round-tagged work cursor: (round << kCursorRoundShift) | index.
   /// The 20-bit index band bounds claims per round at ~1M — lanes cap
-  /// at 254 and each participant adds at most one empty probe, so the
+  /// at 65535 and each participant adds at most one empty probe, so the
   /// band never saturates; 44 round bits outlast any plausible run.
   static constexpr unsigned kCursorRoundShift = 20;
   static constexpr std::uint64_t kCursorIndexMask =
       (std::uint64_t{1} << kCursorRoundShift) - 1;
   std::atomic<std::uint64_t> cursor_{0};
   std::size_t done_ = 0;
-  Time window_end_ = 0;
 };
 
 }  // namespace vini::sim

@@ -5,12 +5,10 @@
 
 #include "core/embedder.h"
 #include "core/schedule.h"
+#include <thread>
+
 #include "core/thread_annotations.h"
 #include "core/vini.h"
-
-#ifdef VINI_SHARD_CHECK
-#include <thread>
-#endif
 #include "topo/abilene.h"
 
 namespace vini::core {
@@ -288,7 +286,6 @@ TEST(Vini, PortReservationsAreExclusivePerSlice) {
   EXPECT_EQ(vini.portOwner(9999), -1);
 }
 
-#ifdef VINI_SHARD_CHECK
 TEST(ShardToken, SameThreadMayAssertRepeatedly) {
   ShardToken token;
   token.assertHeld();  // first touch claims the shard
@@ -309,7 +306,6 @@ TEST(ShardToken, ForeignThreadAborts) {
       }(),
       "ShardToken ownership violation");
 }
-#endif
 
 TEST(EventSchedule, RunsActionsAndKeepsLog) {
   sim::EventQueue queue;

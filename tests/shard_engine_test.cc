@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/audit.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
 
@@ -188,6 +189,160 @@ TEST(ShardEngine, WorkerTimersAndCancellation) {
   EXPECT_EQ(1, fired);
   EXPECT_EQ(0, cancelled_fired);
   EXPECT_EQ(0u, q.pendingCount());
+}
+
+TEST(ShardEngine, WideLaneBandKeepsOrderAcrossThreadCounts) {
+  // 300 lanes: past the 254 an 8-bit lane band in the handle allowed.
+  std::vector<std::vector<Step>> ref;
+  for (const int threads : {1, 2}) {
+    EventQueue q(QueueImpl::kHeap, threads);
+    Workload w(q, 300, 4242);
+    q.finalizeSharding(Workload::kLookahead);
+    ASSERT_EQ(300u, q.shardLaneCount());
+    w.seedEvents(1);
+    q.run();
+    EXPECT_EQ(0u, q.pendingCount());
+    if (threads == 1) {
+      ref = w.logs;
+      EXPECT_FALSE(ref.back().empty());
+      continue;
+    }
+    ASSERT_EQ(ref.size(), w.logs.size());
+    for (std::size_t n = 0; n < ref.size(); ++n) {
+      EXPECT_EQ(ref[n], w.logs[n]) << "node " << n;
+    }
+  }
+}
+
+TEST(ShardEngine, OccupancyCountsCoverEveryLane) {
+  // The same node-attributed schedule, fed to a classic and a sharded
+  // queue: the sharded counts sum the global Store and every lane's,
+  // so they agree with the classic queue at every runUntil boundary.
+  for (const QueueImpl impl : {QueueImpl::kHeap, QueueImpl::kCalendar}) {
+    EventQueue classic(impl, 0);
+    EventQueue sharded(impl, 1);
+    Workload wc(classic, 5, 41, /*cross=*/false);
+    Workload ws(sharded, 5, 41, /*cross=*/false);
+    sharded.finalizeSharding(Workload::kLookahead);
+    wc.seedEvents(4);
+    ws.seedEvents(4);
+    EXPECT_EQ(classic.pendingCount(), sharded.pendingCount());
+    std::size_t peak = 0;
+    for (Time t = 5 * kMicrosecond; classic.pendingCount() > 0;
+         t += 37 * kMicrosecond) {
+      classic.runUntil(t);
+      sharded.runUntil(t);
+      ASSERT_EQ(classic.pendingCount(), sharded.pendingCount())
+          << queueImplName(impl) << " at " << t;
+      peak = std::max(peak, sharded.pendingCount());
+      EXPECT_GE(sharded.storageCount(), sharded.pendingCount());
+      EXPECT_GE(sharded.slabSlotCount() - sharded.slabFreeCount(),
+                sharded.pendingCount());
+    }
+    EXPECT_EQ(0u, sharded.pendingCount());
+    EXPECT_GE(sharded.peakPendingCount(), peak);
+    EXPECT_GE(sharded.peakStorageCount(), sharded.peakPendingCount());
+  }
+}
+
+TEST(ShardEngine, MainThreadCancelsLaneResidentEvents) {
+  for (const int threads : {1, 4}) {
+    EventQueue q(QueueImpl::kHeap, threads);
+    const NodeTag a = q.internNodeTag("a");
+    q.internNodeTag("b");
+    q.finalizeSharding(10 * kMicrosecond);
+    int fired = 0;
+    // Issued by the main thread: the record lives in a's Store.
+    const EventId main_issued =
+        q.schedule(kMillisecond, "test", a, [&] { ++fired; });
+    // Issued by a's lane, past its window.
+    EventId lane_issued = 0;
+    q.schedule(kMicrosecond, "test", a, [&] {
+      lane_issued =
+          q.scheduleAfter(500 * kMicrosecond, "test", a, [&] { ++fired; });
+    });
+    q.runUntil(100 * kMicrosecond);  // between rounds
+    ASSERT_NE(0u, lane_issued);
+    ASSERT_EQ(2u, q.pendingCount());
+    EXPECT_TRUE(q.cancel(lane_issued)) << "threads=" << threads;
+    EXPECT_TRUE(q.cancel(main_issued)) << "threads=" << threads;
+    EXPECT_EQ(0u, q.pendingCount());
+    {
+      check::ScopedAuditCollector collector;  // V101: stale handles
+      EXPECT_FALSE(q.cancel(lane_issued));
+      EXPECT_FALSE(q.cancel(main_issued));
+    }
+    q.run();
+    EXPECT_EQ(0, fired) << "threads=" << threads;
+  }
+}
+
+TEST(ShardEngine, LaneCancelsItsOwnEventFromAnEarlierWindow) {
+  for (const int threads : {1, 4}) {
+    EventQueue q(QueueImpl::kHeap, threads);
+    const NodeTag a = q.internNodeTag("a");
+    const NodeTag b = q.internNodeTag("b");
+    q.finalizeSharding(10 * kMicrosecond);
+    int fired = 0;
+    int rounds_apart = 0;
+    EventId far = 0;
+    bool cancelled = false;
+    q.schedule(kMicrosecond, "test", a, [&] {
+      far = q.scheduleAfter(kMillisecond, "test", a, [&] { ++fired; });
+    });
+    // Unrelated traffic on b keeps windows turning over in between.
+    for (int i = 1; i <= 19; ++i) {
+      q.schedule(static_cast<Time>(i) * 10 * kMicrosecond, "test", b,
+                 [&] { ++rounds_apart; });
+    }
+    q.schedule(200 * kMicrosecond, "test", a,
+               [&] { cancelled = q.cancel(far); });
+    q.run();
+    EXPECT_EQ(19, rounds_apart);
+    EXPECT_TRUE(cancelled) << "threads=" << threads;
+    EXPECT_EQ(0, fired) << "threads=" << threads;
+    EXPECT_EQ(0u, q.pendingCount());
+  }
+}
+
+TEST(ShardEngine, CrossLaneCancelsDeferToTheBarrier) {
+  // Each answer is the one the engine gave when every node event sat in
+  // one global heap: another lane's own handle is "not cancelled" (the
+  // cancel still lands at the barrier); a main-thread handle to an
+  // event past the window, or an unattributed event, is "cancelled";
+  // a handle whose event already fired is stale, counted under V109.
+  for (const int threads : {1, 4}) {
+    check::ScopedAuditCollector collector;
+    EventQueue q(QueueImpl::kHeap, threads);
+    const NodeTag a = q.internNodeTag("a");
+    const NodeTag b = q.internNodeTag("b");
+    q.finalizeSharding(10 * kMicrosecond);
+    int fired = 0;
+    EventId b_own = 0;
+    q.schedule(kMicrosecond, "test", b, [&] {
+      b_own = q.scheduleAfter(kMillisecond, "test", b, [&] { ++fired; });
+    });
+    const EventId main_to_b =
+        q.schedule(kMillisecond, "test", b, [&] { ++fired; });
+    const EventId global = q.schedule(kMillisecond, "test", [&] { ++fired; });
+    const EventId b_done = q.schedule(5 * kMicrosecond, "test", b, [] {});
+    std::vector<bool> answers;
+    q.schedule(50 * kMicrosecond, "test", a, [&] {
+      answers.push_back(q.cancel(b_own));
+      answers.push_back(q.cancel(main_to_b));
+      answers.push_back(q.cancel(global));
+      answers.push_back(q.cancel(b_done));
+    });
+    q.run();
+    EXPECT_EQ((std::vector<bool>{false, true, true, false}), answers)
+        << "threads=" << threads;
+    EXPECT_EQ(0, fired) << "threads=" << threads;
+    EXPECT_EQ(0u, q.pendingCount());
+#if VINI_AUDIT_ENABLED
+    EXPECT_TRUE(collector.report().hasCode("V109"))
+        << collector.report().format();
+#endif
+  }
 }
 
 TEST(ShardEngine, UnattributedEventsRunSerially) {

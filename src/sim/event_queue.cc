@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <utility>
@@ -138,7 +140,9 @@ EventId EventQueue::schedule(Time when, const char* tag, NodeTag node,
     s.ord = (stamp << kSlotBits) | slot;
     global_.push(Key{when, s.ord});
   }
-  return sharded ? handleOf(kNoNode, slot, s.gen) : s.ord;
+  if (!sharded) return s.ord;
+  notePeaks();
+  return handleOf(kNoNode, slot, s.gen);
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -213,7 +217,7 @@ bool EventQueue::cancelSharded(EventId id, [[maybe_unused]] bool audit) {
   return false;
 }
 
-// -- Store: slab + priority structure ------------------------------------------
+// -- Store: slab + priority structure -----------------------------------------
 
 EventQueue::Store::Store(QueueImpl structure) : impl(structure) {
   if (impl == QueueImpl::kCalendar) {
@@ -222,16 +226,19 @@ EventQueue::Store::Store(QueueImpl structure) : impl(structure) {
   }
 }
 
-std::uint32_t EventQueue::Store::allocSlot([[maybe_unused]] std::uint32_t cap) {
+std::uint32_t EventQueue::Store::allocSlot(std::uint32_t cap) {
   if (free_slots.empty()) {
     // The id encoding caps a slab (2^24 slots in the classic engine,
     // 2^17 per Store in the sharded one); a simulation needing more has
-    // almost certainly leaked events.
-    VINI_AUDIT_CHECK(
-        slots.size() <= cap,
-        (check::Diagnostic{check::Severity::kError, "V104", "event queue",
-                           "more than " + std::to_string(cap + 1ull) +
-                               " concurrent events in one slab"}));
+    // almost certainly leaked events.  A slot past the cap would alias
+    // another handle's bits, so fail fast in every build.
+    if (slots.size() > cap) {
+      std::fprintf(stderr,
+                   "vini: V104 more than %llu concurrent events in one "
+                   "event-queue slab\n",
+                   static_cast<unsigned long long>(cap) + 1);
+      std::abort();
+    }
     slots.emplace_back();
     return static_cast<std::uint32_t>(slots.size() - 1);
   }
@@ -254,11 +261,10 @@ void EventQueue::Store::releaseSlot(std::uint32_t slot) {
   free_slots.push_back(slot);
 }
 
-void EventQueue::Store::push(const Key& key, bool in_window) {
+void EventQueue::Store::push(const Key& key) {
   if (impl == QueueImpl::kHeap) {
-    std::vector<Key>& h = in_window ? window : heap;
-    h.push_back(key);
-    heapSiftUp(h, h.size() - 1);
+    heap.push_back(key);
+    heapSiftUp(heap, heap.size() - 1);
   } else {
     calInsert(key);
   }
@@ -440,20 +446,11 @@ void EventQueue::Store::calRebuild(std::size_t nbuckets) {
 
 const EventQueue::Key* EventQueue::Store::peekMinRaw() {
   if (impl == QueueImpl::kCalendar) return calPeek();
-  if (window.empty()) return heap.empty() ? nullptr : &heap.front();
-  if (heap.empty() || keyEarlier(window.front(), heap.front())) {
-    return &window.front();
-  }
-  return &heap.front();
+  return heap.empty() ? nullptr : &heap.front();
 }
 
 EventQueue::Key EventQueue::Store::popMinRaw() {
-  if (impl == QueueImpl::kHeap) {
-    const bool from_window =
-        !window.empty() &&
-        (heap.empty() || keyEarlier(window.front(), heap.front()));
-    return heapPop(from_window ? window : heap);
-  }
+  if (impl == QueueImpl::kHeap) return heapPop(heap);
   const Key* top = calPeek();  // positions cal_bucket at the minimum
   const Key k = *top;
   auto& bucket = cal_buckets[cal_bucket];
@@ -474,6 +471,32 @@ const EventQueue::Key* EventQueue::Store::peekLive() {
     }
     return top;
   }
+}
+
+void EventQueue::Store::pushWindow(const Key& key) {
+  window.push_back(key);
+  heapSiftUp(window, window.size() - 1);
+  ++live;
+}
+
+const EventQueue::Key* EventQueue::Store::peekWindowed() {
+  while (!window.empty() && dead_keys != 0 && !keyLive(window.front())) {
+    heapPop(window);
+    --dead_keys;
+  }
+  const Key* top = peekLive();
+  if (window.empty() || (top != nullptr && keyEarlier(*top, window.front()))) {
+    return top;
+  }
+  return &window.front();
+}
+
+EventQueue::Key EventQueue::Store::popWindowed() {
+  if (!window.empty() &&
+      (heap.empty() || keyEarlier(window.front(), heap.front()))) {
+    return heapPop(window);
+  }
+  return popMinRaw();
 }
 
 // -- Execution ------------------------------------------------------------------

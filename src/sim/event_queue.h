@@ -36,6 +36,7 @@
 //     events in the global one.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -222,13 +223,16 @@ class EventQueue {
   }
 
   /// High-water marks of pendingCount() / storageCount() since
-  /// construction (BENCH_engine.json's peak columns); in sharded mode
-  /// the sum of each Store's own high-water mark.
+  /// construction (BENCH_engine.json's peak columns).  A sharded queue
+  /// samples the totals after every main-thread schedule and at the end
+  /// of every barrier, so its peaks do not depend on the thread count.
   std::uint64_t peakPendingCount() const {
-    return sumStores([](const Store& s) { return s.peak_pending; });
+    shard_.assertHeld();
+    return shard_threads_ > 0 ? peak_pending_ : global_.peak_pending;
   }
   std::uint64_t peakStorageCount() const {
-    return sumStores([](const Store& s) { return s.peak_storage; });
+    shard_.assertHeld();
+    return shard_threads_ > 0 ? peak_storage_ : global_.peak_storage;
   }
 
   /// Slab occupancy: total slots ever allocated / slots currently free.
@@ -345,7 +349,9 @@ class EventQueue {
   /// Sharded-mode EventId: [context : 16 | generation : 31 | slot : 17].
   /// The context is the lane (== node tag) whose Store holds the slot,
   /// or kNoNode for the global Store; the generation is the slot's,
-  /// bumped on every release, so a stale handle never matches.
+  /// bumped on every release, so a stale handle never matches.  The
+  /// slot field caps each sharded Store at 2^17 slots (the classic slab
+  /// at 2^24); allocSlot() aborts past either cap.
   static constexpr unsigned kHandleSlotBits = 17;
   static constexpr std::uint32_t kHandleSlotMask = (1u << kHandleSlotBits) - 1;
   static constexpr std::uint32_t kGenMask = 0x7FFFFFFFu;
@@ -405,7 +411,8 @@ class EventQueue {
   struct Store {
     explicit Store(QueueImpl impl = QueueImpl::kHeap);
 
-    /// A free slot; audits V104 past `cap` concurrent slots.
+    /// A free slot.  Aborts, in every build, rather than hand out a
+    /// slot index above `cap`: the id encoding has no room for it.
     std::uint32_t allocSlot(std::uint32_t cap);
     void releaseSlot(std::uint32_t slot);
     /// True while `key` refers to a live (not cancelled, not fired) event.
@@ -413,16 +420,20 @@ class EventQueue {
       return slots[slotOf(key.ord)].ord == key.ord;
     }
     std::size_t storage() const {
-      return impl == QueueImpl::kHeap ? heap.size() + window.size()
-                                      : cal_count;
+      return impl == QueueImpl::kHeap ? heap.size() : cal_count;
     }
-    /// Queue a live key (counts it pending, tracks the peaks).  A lane
-    /// queues the events it schedules inside its window `in_window`.
-    void push(const Key& key, bool in_window = false);
+    /// Queue a live key (counts it pending, tracks the peaks).
+    void push(const Key& key);
     /// Earliest live key, skimming cancelled tombstones off the top; null
     /// when empty.  The returned pointer is invalidated by any mutation.
     const Key* peekLive();
     Key popMinRaw();
+    /// Lane side, inside ShardRuntime::execLane only: queue an event the
+    /// lane scheduled onto its own node inside the window, and the
+    /// peek/pop pair that also sees those keys.
+    void pushWindow(const Key& key);
+    const Key* peekWindowed();
+    Key popWindowed();
     /// Cancel the queued record in `slot`: release it now, leaving a
     /// tombstone key behind.
     void cancelQueued(std::uint32_t slot);
@@ -437,10 +448,10 @@ class EventQueue {
     std::uint64_t peak_pending = 0;
     std::uint64_t peak_storage = 0;
 
-    // 4-ary heaps: `heap` for keys queued before the current window,
-    // `window` for a lane's in-window keys — small, so the hot
-    // schedule/pop cycle inside a window stays shallow; pops take the
-    // earlier of the two tops.
+    // 4-ary heaps.  `window` holds a lane's in-window keys, so the hot
+    // schedule/pop cycle inside a window stays shallow.  Every such key
+    // runs or is skimmed before the window ends: `window` is empty
+    // outside ShardRuntime::execLane, and only the lane-side calls read it.
     std::vector<Key> heap;
     std::vector<Key> window;
     // Calendar structure.  Buckets are kept sorted by (when, ord); the
@@ -476,6 +487,11 @@ class EventQueue {
     for (const Store* store : stores_) total += f(*store);
     return total;
   }
+  /// Fold the current totals into the sharded-mode peaks.
+  void notePeaks() VINI_REQUIRES(shard_) {
+    peak_pending_ = std::max<std::uint64_t>(peak_pending_, pendingCount());
+    peak_storage_ = std::max<std::uint64_t>(peak_storage_, storageCount());
+  }
   /// Pop and execute the earliest event of `store` on the calling
   /// (main) thread; false when it is empty.
   bool runNext(Store& store) VINI_REQUIRES(shard_);
@@ -510,6 +526,9 @@ class EventQueue {
   Store global_ VINI_GUARDED_BY(shard_);
   /// The global Store, then each lane's in lane order.
   std::vector<Store*> stores_ VINI_GUARDED_BY(shard_){&global_};
+  /// Sharded mode: peaks of the summed counts (see peakPendingCount()).
+  std::uint64_t peak_pending_ VINI_GUARDED_BY(shard_) = 0;
+  std::uint64_t peak_storage_ VINI_GUARDED_BY(shard_) = 0;
 
   ProfileHook profiler_ VINI_GUARDED_BY(shard_);
   AdvanceHook advance_ VINI_GUARDED_BY(shard_);

@@ -209,12 +209,7 @@ void ShardRuntime::dispatchLanes() {
     // Serial lane execution — canonically equivalent, because lanes
     // are independent within a window, and required when profiling or
     // introspection hooks (which are not thread-safe) are installed.
-    for (Lane* lane : active_) {
-      lane->base = queue_.next_seq_;
-      lane->based = true;
-      execLane(*lane, hooks);
-      queue_.next_seq_ += lane->issued;
-    }
+    for (Lane* lane : active_) execLane(*lane, hooks);
   } else {
     const std::size_t count = active_.size();
     std::uint64_t round = 0;
@@ -296,9 +291,9 @@ void ShardRuntime::execLane(Lane& lane, bool run_hooks) {
   Store& store = lane.store;
   const Key horizon = horizon_;
   lane.provisional = 0;
-  while (const Key* top = store.peekLive()) {
+  while (const Key* top = store.peekWindowed()) {
     if (!EventQueue::keyEarlier(*top, horizon)) break;
-    const Key key = store.popMinRaw();
+    const Key key = store.popWindowed();
     const std::uint32_t slot = EventQueue::slotOf(key.ord);
     // Move the callback out before invoking: the handler may schedule,
     // growing the slab.
@@ -372,15 +367,11 @@ EventId ShardRuntime::workerSchedule(Lane& lane, Time when, const char* tag,
     // queued before the window and in issue order among its peers.
     s.ord = ((kProvisional | lane.provisional++) << EventQueue::kSlotBits) |
             slot;
-    store.push(Key{when, s.ord}, /*in_window=*/true);
-  } else if (const std::uint64_t offset = lane.issued++;
-             node == lane.index && lane.based) {
-    s.ord = ((lane.base + offset) << EventQueue::kSlotBits) | slot;
-    store.push(Key{when, s.ord});
+    store.pushWindow(Key{when, s.ord});
   } else {
-    // Held for the barrier, which knows the base and the target Store.
+    // Held for the barrier, which knows its stamp and target Store.
     s.when = when;
-    lane.held.push_back(Held{slot, s.gen, offset});
+    lane.held.push_back(Held{slot, s.gen});
   }
   return EventQueue::handleOf(static_cast<NodeTag>(lane.index), slot, s.gen);
 }
@@ -451,15 +442,14 @@ void ShardRuntime::applyBarrier() {
     // Stamp held events, active order then issue order — the order one
     // global queue would have numbered them in — and queue each in its
     // target Store.
-    if (!lane.based) {
-      lane.base = q.next_seq_;
-      q.next_seq_ += lane.issued;
-    }
+    const std::uint64_t base = q.next_seq_;
+    q.next_seq_ += lane.held.size();
     auditStamp(q.next_seq_);
-    for (const Held& h : lane.held) {
+    for (std::size_t i = 0; i < lane.held.size(); ++i) {
+      const Held& h = lane.held[i];
       Slot& s = lane.store.slots[h.slot];
       if (s.gen != h.gen) continue;  // cancelled inside the window
-      const std::uint64_t stamp = lane.base + h.offset;
+      const std::uint64_t stamp = base + i;
       if (s.node == lane.index) {
         s.ord = (stamp << EventQueue::kSlotBits) | h.slot;
         lane.store.push(Key{s.when, s.ord});
@@ -475,8 +465,6 @@ void ShardRuntime::applyBarrier() {
                s.node < lanes_.size() ? s.node : kNoNode, s.when, stamp);
     }
     lane.held.clear();
-    lane.issued = 0;
-    lane.based = false;
     // Fold the lane's tallies into the queue's telemetry (the same
     // counters the classic engine keeps inline) and reset.
     cancels = cancels || !lane.staged_cancels.empty();
@@ -529,6 +517,7 @@ void ShardRuntime::applyBarrier() {
     }
   }
   active_.clear();
+  q.notePeaks();
 }
 
 // -- EventQueue's worker-context trampolines ---------------------------------

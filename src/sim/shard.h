@@ -15,15 +15,15 @@
 //     (PhysNetwork::minPropagation()), or at the global top's key if
 //     that is earlier.  Lanes whose top key is below H run concurrently
 //     on a worker pool (work-stealing over an atomic cursor; the main
-//     thread participates), each popping its own heap while the top
+//     thread participates), each popping its own Store while the top
 //     stays below H.
 //   * An event a lane schedules onto its own node inside the window
-//     goes straight into its heap.  Anything else — own-node events at
-//     or past H, cross-lane events (which lookahead puts at >= H),
-//     unattributed events — is *held* in the lane's slab: its
-//     tie-break stamp is only known at the barrier, which stamps held
-//     events lanes in active order, issue order within a lane, and
-//     queues each in its target Store.
+//     goes straight into its Store's small window heap.  Anything
+//     else — own-node events at or past H, cross-lane events (which
+//     lookahead puts at >= H), unattributed events — is *held* in the
+//     lane's slab: its tie-break stamp is only known at the barrier,
+//     which stamps held events lanes in active order, issue order
+//     within a lane, and queues each in its target Store.
 //
 // Determinism: keys are (when, stamp), and the stamps are exactly the
 // sequence numbers one global queue would assign — main-thread
@@ -89,13 +89,11 @@ class ShardRuntime {
   static constexpr std::uint64_t kProvisional = 1ull << 39;
   static void auditStamp(std::uint64_t stamp);
 
-  /// A lane-held event: its slot, the generation that drops it if the
-  /// slot was cancelled (and perhaps reused) inside the window, and its
-  /// stamp's offset from the lane's base.
+  /// A lane-held event: its slot and the generation that drops it if
+  /// the slot was cancelled (and perhaps reused) inside the window.
   struct Held {
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
-    std::uint64_t offset = 0;
   };
 
   struct Lane {
@@ -103,6 +101,7 @@ class ShardRuntime {
     Store store;
 
     // Filled during the window, drained by the barrier in this order.
+    /// Held events in issue order; the barrier stamps each base + index.
     std::vector<Held> held;
     std::vector<EventId> staged_cancels;
     /// Stubs in other Stores whose records this lane retired.
@@ -111,12 +110,6 @@ class ShardRuntime {
     Key top;  ///< earliest live key at round start
     Time local_now = 0;
     std::uint64_t provisional = 0;  ///< in-window issue counter
-    /// A round's other schedules are stamped base + issue index.  A
-    /// serial dispatch knows the base at the lane's turn (`based`) and
-    /// queues own-node events at once; otherwise the barrier sets it.
-    std::uint64_t base = 0;
-    std::uint64_t issued = 0;
-    bool based = false;
 
     // Per-round results, folded into the queue's counters at the
     // barrier (workers never touch shared counters or the audit sink).

@@ -245,6 +245,49 @@ TEST(ShardEngine, OccupancyCountsCoverEveryLane) {
   }
 }
 
+TEST(ShardEngine, PeakCountsDoNotDependOnThreadCount) {
+  // The sharded peaks sample the summed counts at main-thread schedules
+  // and barriers, never mid-window, so serial and parallel rounds agree.
+  std::uint64_t ref_pending = 0;
+  std::uint64_t ref_storage = 0;
+  for (const int threads : {1, 2, 8}) {
+    EventQueue q(QueueImpl::kHeap, threads);
+    Workload w(q, 5, 7);
+    q.finalizeSharding(Workload::kLookahead);
+    w.seedEvents(4);
+    q.run();
+    if (threads == 1) {
+      ref_pending = q.peakPendingCount();
+      ref_storage = q.peakStorageCount();
+      EXPECT_GE(ref_pending, 20u);  // every seeded event was pending at once
+      continue;
+    }
+    EXPECT_EQ(ref_pending, q.peakPendingCount()) << "threads=" << threads;
+    EXPECT_EQ(ref_storage, q.peakStorageCount()) << "threads=" << threads;
+  }
+}
+
+TEST(ShardEngineDeathTest, StoreSlotCapFailsFastInEveryBuild) {
+  // A sharded handle's slot field is 17 bits: a Store hands out slots
+  // 0 .. 2^17 - 1 and aborts on the next one instead of letting its
+  // index spill into the generation bits.
+  constexpr std::size_t kCap = std::size_t{1} << 17;
+  EventQueue q(QueueImpl::kHeap, 1);
+  std::vector<EventId> ids;
+  ids.reserve(kCap);
+  for (std::size_t i = 0; i < kCap; ++i) {
+    ids.push_back(q.schedule(kMicrosecond, [] {}));
+  }
+  EXPECT_EQ(kCap, q.slabSlotCount());
+  EXPECT_TRUE(q.cancel(ids.back()));  // the top slot's handle resolves
+  EXPECT_TRUE(q.cancel(ids.front()));
+  // Both freed slots are reused before the slab grows.
+  q.schedule(kMicrosecond, [] {});
+  q.schedule(kMicrosecond, [] {});
+  EXPECT_EQ(kCap, q.slabSlotCount());
+  EXPECT_DEATH(q.schedule(kMicrosecond, [] {}), "V104");
+}
+
 TEST(ShardEngine, MainThreadCancelsLaneResidentEvents) {
   for (const int threads : {1, 4}) {
     EventQueue q(QueueImpl::kHeap, threads);

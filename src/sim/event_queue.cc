@@ -13,24 +13,9 @@
 
 namespace vini::sim {
 
-namespace {
+EventQueue::EventQueue() { shard_.assertHeld(); }
 
-/// Starting bucket count for the calendar; grows/shrinks with load.
-constexpr std::size_t kCalMinBuckets = 16;
-
-}  // namespace
-
-const char* queueImplName(QueueImpl impl) {
-  return impl == QueueImpl::kHeap ? "heap" : "calendar";
-}
-
-EventQueue::EventQueue() : EventQueue(QueueImpl::kHeap) {}
-
-EventQueue::EventQueue(QueueImpl impl) : global_(impl) {
-  shard_.assertHeld();
-}
-
-EventQueue::EventQueue(QueueImpl impl, int threads) : EventQueue(impl) {
+EventQueue::EventQueue(int threads) : EventQueue() {
   shard_threads_ = threads > 0 ? threads : 0;
 }
 
@@ -219,13 +204,6 @@ bool EventQueue::cancelSharded(EventId id, [[maybe_unused]] bool audit) {
 
 // -- Store: slab + priority structure -----------------------------------------
 
-EventQueue::Store::Store(QueueImpl structure) : impl(structure) {
-  if (impl == QueueImpl::kCalendar) {
-    cal_buckets.resize(kCalMinBuckets);
-    calResetScan(0);
-  }
-}
-
 std::uint32_t EventQueue::Store::allocSlot(std::uint32_t cap) {
   if (free_slots.empty()) {
     // The id encoding caps a slab (2^24 slots in the classic engine,
@@ -262,12 +240,8 @@ void EventQueue::Store::releaseSlot(std::uint32_t slot) {
 }
 
 void EventQueue::Store::push(const Key& key) {
-  if (impl == QueueImpl::kHeap) {
-    heap.push_back(key);
-    heapSiftUp(heap, heap.size() - 1);
-  } else {
-    calInsert(key);
-  }
+  heap.push_back(key);
+  heapSiftUp(heap, heap.size() - 1);
   ++live;
   if (live > peak_pending) peak_pending = live;
   const std::size_t size = storage();
@@ -286,17 +260,9 @@ void EventQueue::Store::maybeCompact() {
   // Tombstones outnumber live keys: rebuild without them.  Removal
   // cannot change pop order — (when, ord) is a total order, so any heap
   // arrangement of the surviving keys pops identically.
-  if (impl == QueueImpl::kHeap) {
-    for (std::vector<Key>* h : {&heap, &window}) {
-      std::erase_if(*h, [this](const Key& k) { return !keyLive(k); });
-      heapRebuild(*h);
-    }
-  } else {
-    for (auto& bucket : cal_buckets) {
-      const std::size_t before = bucket.size();
-      std::erase_if(bucket, [this](const Key& k) { return !keyLive(k); });
-      cal_count -= before - bucket.size();
-    }
+  for (std::vector<Key>* h : {&heap, &window}) {
+    std::erase_if(*h, [this](const Key& k) { return !keyLive(k); });
+    heapRebuild(*h);
   }
   dead_keys = 0;
 }
@@ -354,111 +320,11 @@ EventQueue::Key EventQueue::Store::heapPop(std::vector<Key>& h) {
   return k;
 }
 
-// -- Calendar queue -----------------------------------------------------------
-
-void EventQueue::Store::calResetScan(Time t) {
-  const auto idx =
-      static_cast<std::uint64_t>(t) / static_cast<std::uint64_t>(cal_width);
-  cal_bucket = static_cast<std::size_t>(idx % cal_buckets.size());
-  cal_top = static_cast<Time>(idx + 1) * cal_width;
-}
-
-void EventQueue::Store::calInsert(const Key& k) {
-  // An insert behind the scan position (possible because the scan sits
-  // wherever the last pop left it) rewinds the scan to the new event.
-  if (cal_count == 0 || k.when < cal_top - cal_width) calResetScan(k.when);
-  const auto idx = static_cast<std::uint64_t>(k.when) /
-                   static_cast<std::uint64_t>(cal_width);
-  auto& bucket = cal_buckets[static_cast<std::size_t>(idx % cal_buckets.size())];
-  bucket.insert(
-      std::upper_bound(bucket.begin(), bucket.end(), k,
-                       [](const Key& a, const Key& b) { return keyEarlier(a, b); }),
-      k);
-  ++cal_count;
-  calMaybeResize();
-}
-
-const EventQueue::Key* EventQueue::Store::calPeek() {
-  if (cal_count == 0) return nullptr;
-  const std::size_t n = cal_buckets.size();
-  // Walk year windows from the scan position.  A bucket's front is its
-  // earliest key; it wins iff it falls inside the current window
-  // (events in the same window always share a bucket, so the first hit
-  // is the global minimum).
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& bucket = cal_buckets[cal_bucket];
-    if (!bucket.empty() && bucket.front().when < cal_top) {
-      return &bucket.front();
-    }
-    cal_bucket = (cal_bucket + 1) % n;
-    cal_top += cal_width;
-  }
-  // A whole year without a hit (sparse far-future events): direct-search
-  // the minimum and jump the scan to it.
-  const Key* min = nullptr;
-  for (const auto& bucket : cal_buckets) {
-    if (!bucket.empty() && (min == nullptr || keyEarlier(bucket.front(), *min))) {
-      min = &bucket.front();
-    }
-  }
-  calResetScan(min->when);  // min's bucket becomes the scan bucket
-  return min;
-}
-
-void EventQueue::Store::calMaybeResize() {
-  const std::size_t n = cal_buckets.size();
-  if (cal_count > 2 * n) {
-    calRebuild(2 * n);
-  } else if (n > kCalMinBuckets && cal_count * 4 < n) {
-    calRebuild(n / 2);
-  }
-}
-
-void EventQueue::Store::calRebuild(std::size_t nbuckets) {
-  std::vector<Key> all;
-  all.reserve(cal_count);
-  for (auto& bucket : cal_buckets) {
-    all.insert(all.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  std::sort(all.begin(), all.end(),
-            [](const Key& a, const Key& b) { return keyEarlier(a, b); });
-  // Brown's width rule, simplified: ~3x the mean gap over a head sample,
-  // so a window holds a few events on average.
-  if (all.size() >= 2) {
-    const std::size_t sample = std::min<std::size_t>(all.size() - 1, 64);
-    const Time span = all[sample].when - all[0].when;
-    cal_width = std::max<Time>(1, 3 * span / static_cast<Time>(sample));
-  }
-  cal_buckets.assign(nbuckets, {});
-  // An empty calendar's scan position is moot: the next insert resets it.
-  calResetScan(all.empty() ? 0 : all[0].when);
-  // Globally sorted insert order means every bucket stays sorted with
-  // plain push_back.
-  for (const Key& k : all) {
-    const auto idx = static_cast<std::uint64_t>(k.when) /
-                     static_cast<std::uint64_t>(cal_width);
-    cal_buckets[static_cast<std::size_t>(idx % nbuckets)].push_back(k);
-  }
-}
-
-// -- Min extraction, shared by both implementations ---------------------------
-
 const EventQueue::Key* EventQueue::Store::peekMinRaw() {
-  if (impl == QueueImpl::kCalendar) return calPeek();
   return heap.empty() ? nullptr : &heap.front();
 }
 
-EventQueue::Key EventQueue::Store::popMinRaw() {
-  if (impl == QueueImpl::kHeap) return heapPop(heap);
-  const Key* top = calPeek();  // positions cal_bucket at the minimum
-  const Key k = *top;
-  auto& bucket = cal_buckets[cal_bucket];
-  bucket.erase(bucket.begin());
-  --cal_count;
-  calMaybeResize();
-  return k;
-}
+EventQueue::Key EventQueue::Store::popMinRaw() { return heapPop(heap); }
 
 const EventQueue::Key* EventQueue::Store::peekLive() {
   for (;;) {

@@ -17,16 +17,8 @@
 //     in its low bits and a monotone stamp in its high bits, so step()
 //     finds its record and detects stale keys by a single comparison —
 //     the engine keeps no hash map at all.
-//   * Two interchangeable priority structures: a 4-ary heap (default,
-//     O(log n), fully general; 4-ary rather than binary because the
-//     four children of a node share a cache line, halving the miss
-//     depth of a sift on large queues) and a calendar queue (Brown
-//     1988: O(1) amortized at high event rates when timestamps are
-//     roughly uniform, as under saturating traffic).  Both pop in
-//     exactly the same (when, ord) total order, so a run is
-//     byte-identical under either — scripts/check.sh diffs same-seed
-//     exports across the two to enforce it, and bench_engine measures
-//     them against each other.
+//   * The priority structure is a 4-ary heap: four children share a
+//     cache line, halving the miss depth of a sift on large queues.
 //   * cancel() releases the callback (and everything it captured)
 //     eagerly and leaves only a tombstone key behind; tombstones are
 //     compacted away whenever they outnumber live keys.
@@ -65,15 +57,6 @@ using EventId = std::uint64_t;
 using NodeTag = std::uint16_t;
 inline constexpr NodeTag kNoNode = 0xFFFF;
 
-/// Priority-structure implementations selectable at construction.
-enum class QueueImpl {
-  kHeap,      ///< implicit 4-ary min-heap over the key vector
-  kCalendar,  ///< calendar queue: bucketed by timestamp, O(1) amortized
-};
-
-/// Stable lowercase name for reports and BENCH_engine.json.
-const char* queueImplName(QueueImpl impl);
-
 class EventQueue;
 
 /// The thread-local context a sharded worker lane installs while it
@@ -89,8 +72,7 @@ struct ShardWorkerCtx {
 /// A deterministic discrete-event scheduler.
 ///
 /// Usage:
-///   EventQueue q;                         // 4-ary heap
-///   EventQueue q(QueueImpl::kCalendar);   // calendar queue
+///   EventQueue q;
 ///   q.schedule(q.now() + kSecond, [] { ... });
 ///   q.runUntil(10 * kSecond);
 class EventQueue {
@@ -101,21 +83,15 @@ class EventQueue {
   using Callback = InlineCallback<64>;
 
   EventQueue();  // out of line: members need ShardRuntime complete
-  explicit EventQueue(QueueImpl impl);
   /// Sharded construction: `threads` worker contexts execute the run
   /// once finalizeSharding() freezes the lane set.  threads == 0 is the
   /// classic single-threaded engine (byte-identical to an EventQueue
   /// built without the parameter); threads == 1 runs the sharded
   /// schedule serially — the determinism gate's reference run.
-  EventQueue(QueueImpl impl, int threads);
+  explicit EventQueue(int threads);
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  QueueImpl impl() const {
-    shard_.assertHeld();
-    return global_.impl;
-  }
 
   /// Current simulation time.  Advances only inside run()/runUntil()/step().
   /// From inside a sharded worker lane this is the lane's local time
@@ -406,11 +382,8 @@ class EventQueue {
     bool stub = false;
   };
 
-  /// A slab plus the priority structure over it.  `impl` picks heap or
-  /// calendar; lanes always use the heap.
+  /// A slab plus the priority structure over it.
   struct Store {
-    explicit Store(QueueImpl impl = QueueImpl::kHeap);
-
     /// A free slot.  Aborts, in every build, rather than hand out a
     /// slot index above `cap`: the id encoding has no room for it.
     std::uint32_t allocSlot(std::uint32_t cap);
@@ -419,9 +392,7 @@ class EventQueue {
     bool keyLive(const Key& key) const {
       return slots[slotOf(key.ord)].ord == key.ord;
     }
-    std::size_t storage() const {
-      return impl == QueueImpl::kHeap ? heap.size() : cal_count;
-    }
+    std::size_t storage() const { return heap.size(); }
     /// Queue a live key (counts it pending, tracks the peaks).
     void push(const Key& key);
     /// Earliest live key, skimming cancelled tombstones off the top; null
@@ -438,7 +409,6 @@ class EventQueue {
     /// tombstone key behind.
     void cancelQueued(std::uint32_t slot);
 
-    QueueImpl impl;
     std::vector<Slot> slots;
     std::vector<std::uint32_t> free_slots;
     /// Live (pending, uncancelled) queued events.
@@ -454,14 +424,6 @@ class EventQueue {
     // outside ShardRuntime::execLane, and only the lane-side calls read it.
     std::vector<Key> heap;
     std::vector<Key> window;
-    // Calendar structure.  Buckets are kept sorted by (when, ord); the
-    // scan position (cal_bucket, cal_top) walks year windows exactly as
-    // in Brown's original design.
-    std::vector<std::vector<Key>> cal_buckets;
-    std::size_t cal_count = 0;
-    Time cal_width = kMillisecond;
-    std::size_t cal_bucket = 0;
-    Time cal_top = 0;
 
    private:
     const Key* peekMinRaw();
@@ -472,11 +434,6 @@ class EventQueue {
     static void heapSiftDown(std::vector<Key>& h, std::size_t i);
     static void heapRebuild(std::vector<Key>& h);
     static Key heapPop(std::vector<Key>& h);
-    void calResetScan(Time t);
-    void calInsert(const Key& k);
-    const Key* calPeek();
-    void calMaybeResize();
-    void calRebuild(std::size_t nbuckets);
   };
 
   /// f(store) summed over every Store.

@@ -111,9 +111,12 @@ void ShardRuntime::finalize(Duration lookahead) {
       global.push(key);  // unattributed: stays global
     }
   }
-  // The main thread participates, so N requested contexts mean N - 1
-  // spawned workers; extra workers beyond the lane count just idle.
-  for (int i = 1; i < threads_; ++i) {
+  // The main thread participates, so N contexts mean N - 1 spawned
+  // workers.  A round never runs more lanes than exist, so contexts
+  // beyond the lane count would only idle: cap them there.
+  const int contexts =
+      static_cast<int>(std::min<std::size_t>(threads_, n));
+  for (int i = 1; i < contexts; ++i) {
     workers_.emplace_back([this] { workerLoop(); });
   }
 }

@@ -6,8 +6,8 @@
 namespace vini::topo {
 
 World::World(tcpip::HostConfig host_default, phys::NetworkConfig net_config,
-             sim::QueueImpl queue_impl, int threads)
-    : queue(queue_impl, threads),
+             int threads)
+    : queue(threads),
       net(queue, net_config),
       stacks(net, host_default),
       schedule(queue) {
@@ -113,7 +113,7 @@ std::unique_ptr<World> makeDeterWorld(const WorldOptions& options) {
   net_config.mask_failures = options.mask_underlay_failures;
   net_config.seed = options.seed;
   auto world = std::make_unique<World>(deterHost(), net_config,
-                                       options.queue_impl, options.threads);
+                                       options.threads);
 
   DeterOptions deter;
   deter.seed = options.seed + 100;
@@ -136,7 +136,7 @@ std::unique_ptr<World> makeAbileneSubstrate(const WorldOptions& options) {
   net_config.mask_failures = options.mask_underlay_failures;
   net_config.seed = options.seed;
   auto world = std::make_unique<World>(planetLabHost(), net_config,
-                                       options.queue_impl, options.threads);
+                                       options.threads);
 
   AbileneOptions abilene;
   abilene.seed = options.seed + 200;

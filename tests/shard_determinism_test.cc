@@ -9,10 +9,9 @@
 // here fails long before a human could spot it in a plot.
 //
 // threads = 1 runs the sharded schedule serially and is the reference;
-// 2, 8, and hardware_concurrency must reproduce it exactly, on both
-// event-queue implementations.  (threads = 0, the classic engine, is a
-// *different* — but equally deterministic — canonical order; see
-// DESIGN.md section 16.)
+// 2, 8, and hardware_concurrency must reproduce it exactly.  (threads =
+// 0, the classic engine, is a *different* — but equally deterministic —
+// canonical order; see DESIGN.md section 16.)
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -42,11 +41,10 @@ struct Exports {
 /// A condensed fig8: converge the Abilene mirror, ping across the
 /// overlay while a backbone virtual link fails and is restored, with
 /// every obs subsystem armed.  Returns all exports as strings.
-Exports runScenario(std::uint64_t seed, sim::QueueImpl impl, int threads) {
+Exports runScenario(std::uint64_t seed, int threads) {
   obs::ScopedObs scope;
   topo::WorldOptions options;
   options.seed = seed;
-  options.queue_impl = impl;
   options.threads = threads;
   options.contention = topo::kPlanetLabContention;
   options.resources.cpu_reservation = 0.25;
@@ -127,48 +125,29 @@ void expectIdentical(const Exports& a, const Exports& b, const char* what) {
   EXPECT_EQ(a.chrome, b.chrome) << what << ": Chrome JSON diverged";
 }
 
-TEST(ShardDeterminism, HeapExportsByteIdenticalAcrossThreadCounts) {
-  const Exports one = runScenario(901, sim::QueueImpl::kHeap, 1);
+TEST(ShardDeterminism, ExportsByteIdenticalAcrossThreadCounts) {
+  const Exports one = runScenario(901, 1);
   // The run must actually exercise the traced path, or the byte compare
   // is vacuous.
   ASSERT_GT(one.spans_closed, 0u);
   ASSERT_FALSE(one.metrics.empty());
-  const Exports two = runScenario(901, sim::QueueImpl::kHeap, 2);
-  const Exports eight = runScenario(901, sim::QueueImpl::kHeap, 8);
-  expectIdentical(one, two, "heap 1 vs 2 threads");
-  expectIdentical(one, eight, "heap 1 vs 8 threads");
+  const Exports two = runScenario(901, 2);
+  const Exports eight = runScenario(901, 8);
+  expectIdentical(one, two, "1 vs 2 threads");
+  expectIdentical(one, eight, "1 vs 8 threads");
 
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw > 1 && hw != 2 && hw != 8) {
-    const Exports native =
-        runScenario(901, sim::QueueImpl::kHeap, static_cast<int>(hw));
-    expectIdentical(one, native, "heap 1 vs hardware_concurrency threads");
+    const Exports native = runScenario(901, static_cast<int>(hw));
+    expectIdentical(one, native, "1 vs hardware_concurrency threads");
   }
-}
-
-TEST(ShardDeterminism, CalendarExportsByteIdenticalAcrossThreadCounts) {
-  const Exports one = runScenario(901, sim::QueueImpl::kCalendar, 1);
-  ASSERT_GT(one.spans_closed, 0u);
-  const Exports two = runScenario(901, sim::QueueImpl::kCalendar, 2);
-  const Exports eight = runScenario(901, sim::QueueImpl::kCalendar, 8);
-  expectIdentical(one, two, "calendar 1 vs 2 threads");
-  expectIdentical(one, eight, "calendar 1 vs 8 threads");
-}
-
-TEST(ShardDeterminism, HeapAndCalendarAgreeWhenSharded) {
-  // Queue internals must not leak into the sharded schedule either: the
-  // same seed and thread count produce the same bytes on both priority
-  // structures.
-  const Exports heap = runScenario(901, sim::QueueImpl::kHeap, 2);
-  const Exports cal = runScenario(901, sim::QueueImpl::kCalendar, 2);
-  expectIdentical(heap, cal, "heap vs calendar at 2 threads");
 }
 
 TEST(ShardDeterminism, DifferentSeedsStillDiffer) {
   // Guard against the degenerate pass where exports are identical
   // because nothing seed-dependent was captured.
-  const Exports a = runScenario(901, sim::QueueImpl::kHeap, 2);
-  const Exports b = runScenario(902, sim::QueueImpl::kHeap, 2);
+  const Exports a = runScenario(901, 2);
+  const Exports b = runScenario(902, 2);
   EXPECT_NE(a.chrome, b.chrome);
 }
 

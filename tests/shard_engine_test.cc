@@ -4,7 +4,10 @@
 // workloads with no barrier-staged timestamp collisions) identical to
 // the classic single-threaded engine.
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <random>
 #include <string>
 #include <thread>
@@ -93,10 +96,9 @@ struct Workload {
   std::vector<std::uint64_t> state;
 };
 
-std::vector<std::vector<Step>> runWorkload(QueueImpl impl, int threads,
-                                           std::uint64_t seed,
+std::vector<std::vector<Step>> runWorkload(int threads, std::uint64_t seed,
                                            std::uint64_t* executed = nullptr) {
-  EventQueue q(impl, threads);
+  EventQueue q(threads);
   Workload w(q, 5, seed);
   if (threads > 0) q.finalizeSharding(Workload::kLookahead);
   w.seedEvents(4);
@@ -106,7 +108,7 @@ std::vector<std::vector<Step>> runWorkload(QueueImpl impl, int threads,
 }
 
 TEST(ShardEngine, ClassicConstructionUnchanged) {
-  EventQueue q(QueueImpl::kHeap, 0);
+  EventQueue q(0);
   EXPECT_FALSE(q.sharded());
   q.finalizeSharding(kMicrosecond);  // no-op at threads == 0
   EXPECT_FALSE(q.sharded());
@@ -122,23 +124,21 @@ TEST(ShardEngine, ShardedSerialMatchesClassic) {
   // may break classic's global FIFO ties; sharded mode defines its own
   // canonical order there, stable across thread counts — the
   // ThreadCountInvariant test — rather than classic's.)
-  for (const QueueImpl impl : {QueueImpl::kHeap, QueueImpl::kCalendar}) {
-    std::vector<std::vector<Step>> classic;
-    for (const int threads : {0, 1, 4}) {
-      EventQueue q(impl, threads);
-      Workload w(q, 5, 41, /*cross=*/false);
-      if (threads > 0) q.finalizeSharding(Workload::kLookahead);
-      w.seedEvents(4);
-      q.run();
-      if (threads == 0) {
-        classic = w.logs;
-        continue;
-      }
-      ASSERT_EQ(classic.size(), w.logs.size());
-      for (std::size_t n = 0; n < classic.size(); ++n) {
-        EXPECT_EQ(classic[n], w.logs[n])
-            << queueImplName(impl) << " threads=" << threads << " node " << n;
-      }
+  std::vector<std::vector<Step>> classic;
+  for (const int threads : {0, 1, 4}) {
+    EventQueue q(threads);
+    Workload w(q, 5, 41, /*cross=*/false);
+    if (threads > 0) q.finalizeSharding(Workload::kLookahead);
+    w.seedEvents(4);
+    q.run();
+    if (threads == 0) {
+      classic = w.logs;
+      continue;
+    }
+    ASSERT_EQ(classic.size(), w.logs.size());
+    for (std::size_t n = 0; n < classic.size(); ++n) {
+      EXPECT_EQ(classic[n], w.logs[n])
+          << "threads=" << threads << " node " << n;
     }
   }
 }
@@ -146,29 +146,57 @@ TEST(ShardEngine, ShardedSerialMatchesClassic) {
 TEST(ShardEngine, ThreadCountInvariant) {
   const unsigned hw = std::thread::hardware_concurrency();
   const std::vector<int> counts = {1, 2, 8, hw > 0 ? static_cast<int>(hw) : 4};
-  for (const QueueImpl impl : {QueueImpl::kHeap, QueueImpl::kCalendar}) {
-    for (const std::uint64_t seed : {7ull, 1234ull, 999983ull}) {
-      std::uint64_t ref_executed = 0;
-      const auto ref = runWorkload(impl, 1, seed, &ref_executed);
-      for (const int threads : counts) {
-        std::uint64_t executed = 0;
-        const auto got = runWorkload(impl, threads, seed, &executed);
-        EXPECT_EQ(ref_executed, executed)
-            << queueImplName(impl) << " threads=" << threads;
-        ASSERT_EQ(ref.size(), got.size());
-        for (std::size_t n = 0; n < ref.size(); ++n) {
-          EXPECT_EQ(ref[n], got[n]) << queueImplName(impl) << " threads="
-                                    << threads << " node " << n;
-        }
+  for (const std::uint64_t seed : {7ull, 1234ull, 999983ull}) {
+    std::uint64_t ref_executed = 0;
+    const auto ref = runWorkload(1, seed, &ref_executed);
+    for (const int threads : counts) {
+      std::uint64_t executed = 0;
+      const auto got = runWorkload(threads, seed, &executed);
+      EXPECT_EQ(ref_executed, executed) << "threads=" << threads;
+      ASSERT_EQ(ref.size(), got.size());
+      for (std::size_t n = 0; n < ref.size(); ++n) {
+        EXPECT_EQ(ref[n], got[n]) << "threads=" << threads << " node " << n;
       }
     }
+  }
+}
+
+TEST(ShardEngine, WorkersCappedAtLaneCount) {
+  // N contexts on L lanes spawn min(N, L) - 1 workers: a 2-lane queue
+  // asked for 16 threads spawns at most one, and runs the same per-node
+  // order as the serial reference.
+  namespace fs = std::filesystem;
+  const fs::path tasks = "/proc/self/task";
+  if (!fs::is_directory(tasks)) GTEST_SKIP() << "no " << tasks;
+  auto threadCount = [&tasks] {
+    return std::distance(fs::directory_iterator(tasks),
+                         fs::directory_iterator{});
+  };
+  auto run = [&threadCount](int threads, std::ptrdiff_t* spawned) {
+    EventQueue q(threads);
+    Workload w(q, 2, 77);
+    const std::ptrdiff_t before = threadCount();
+    q.finalizeSharding(Workload::kLookahead);
+    *spawned = threadCount() - before;
+    w.seedEvents(4);
+    q.run();
+    return w.logs;
+  };
+  std::ptrdiff_t spawned = 0;
+  const auto ref = run(1, &spawned);
+  EXPECT_EQ(spawned, 0);
+  const auto got = run(16, &spawned);
+  EXPECT_LE(spawned, 1);
+  ASSERT_EQ(ref.size(), got.size());
+  for (std::size_t n = 0; n < ref.size(); ++n) {
+    EXPECT_EQ(ref[n], got[n]) << "node " << n;
   }
 }
 
 TEST(ShardEngine, WorkerTimersAndCancellation) {
   // Timers armed from inside lanes (sharded ids) must stay cancellable
   // from later rounds and from the main thread.
-  EventQueue q(QueueImpl::kHeap, 4);
+  EventQueue q(4);
   const NodeTag a = q.internNodeTag("a");
   const NodeTag b = q.internNodeTag("b");
   q.finalizeSharding(10 * kMicrosecond);
@@ -195,7 +223,7 @@ TEST(ShardEngine, WideLaneBandKeepsOrderAcrossThreadCounts) {
   // 300 lanes: past the 254 an 8-bit lane band in the handle allowed.
   std::vector<std::vector<Step>> ref;
   for (const int threads : {1, 2}) {
-    EventQueue q(QueueImpl::kHeap, threads);
+    EventQueue q(threads);
     Workload w(q, 300, 4242);
     q.finalizeSharding(Workload::kLookahead);
     ASSERT_EQ(300u, q.shardLaneCount());
@@ -218,31 +246,28 @@ TEST(ShardEngine, OccupancyCountsCoverEveryLane) {
   // The same node-attributed schedule, fed to a classic and a sharded
   // queue: the sharded counts sum the global Store and every lane's,
   // so they agree with the classic queue at every runUntil boundary.
-  for (const QueueImpl impl : {QueueImpl::kHeap, QueueImpl::kCalendar}) {
-    EventQueue classic(impl, 0);
-    EventQueue sharded(impl, 1);
-    Workload wc(classic, 5, 41, /*cross=*/false);
-    Workload ws(sharded, 5, 41, /*cross=*/false);
-    sharded.finalizeSharding(Workload::kLookahead);
-    wc.seedEvents(4);
-    ws.seedEvents(4);
-    EXPECT_EQ(classic.pendingCount(), sharded.pendingCount());
-    std::size_t peak = 0;
-    for (Time t = 5 * kMicrosecond; classic.pendingCount() > 0;
-         t += 37 * kMicrosecond) {
-      classic.runUntil(t);
-      sharded.runUntil(t);
-      ASSERT_EQ(classic.pendingCount(), sharded.pendingCount())
-          << queueImplName(impl) << " at " << t;
-      peak = std::max(peak, sharded.pendingCount());
-      EXPECT_GE(sharded.storageCount(), sharded.pendingCount());
-      EXPECT_GE(sharded.slabSlotCount() - sharded.slabFreeCount(),
-                sharded.pendingCount());
-    }
-    EXPECT_EQ(0u, sharded.pendingCount());
-    EXPECT_GE(sharded.peakPendingCount(), peak);
-    EXPECT_GE(sharded.peakStorageCount(), sharded.peakPendingCount());
+  EventQueue classic(0);
+  EventQueue sharded(1);
+  Workload wc(classic, 5, 41, /*cross=*/false);
+  Workload ws(sharded, 5, 41, /*cross=*/false);
+  sharded.finalizeSharding(Workload::kLookahead);
+  wc.seedEvents(4);
+  ws.seedEvents(4);
+  EXPECT_EQ(classic.pendingCount(), sharded.pendingCount());
+  std::size_t peak = 0;
+  for (Time t = 5 * kMicrosecond; classic.pendingCount() > 0;
+       t += 37 * kMicrosecond) {
+    classic.runUntil(t);
+    sharded.runUntil(t);
+    ASSERT_EQ(classic.pendingCount(), sharded.pendingCount()) << "at " << t;
+    peak = std::max(peak, sharded.pendingCount());
+    EXPECT_GE(sharded.storageCount(), sharded.pendingCount());
+    EXPECT_GE(sharded.slabSlotCount() - sharded.slabFreeCount(),
+              sharded.pendingCount());
   }
+  EXPECT_EQ(0u, sharded.pendingCount());
+  EXPECT_GE(sharded.peakPendingCount(), peak);
+  EXPECT_GE(sharded.peakStorageCount(), sharded.peakPendingCount());
 }
 
 TEST(ShardEngine, PeakCountsDoNotDependOnThreadCount) {
@@ -251,7 +276,7 @@ TEST(ShardEngine, PeakCountsDoNotDependOnThreadCount) {
   std::uint64_t ref_pending = 0;
   std::uint64_t ref_storage = 0;
   for (const int threads : {1, 2, 8}) {
-    EventQueue q(QueueImpl::kHeap, threads);
+    EventQueue q(threads);
     Workload w(q, 5, 7);
     q.finalizeSharding(Workload::kLookahead);
     w.seedEvents(4);
@@ -272,7 +297,7 @@ TEST(ShardEngineDeathTest, StoreSlotCapFailsFastInEveryBuild) {
   // 0 .. 2^17 - 1 and aborts on the next one instead of letting its
   // index spill into the generation bits.
   constexpr std::size_t kCap = std::size_t{1} << 17;
-  EventQueue q(QueueImpl::kHeap, 1);
+  EventQueue q(1);
   std::vector<EventId> ids;
   ids.reserve(kCap);
   for (std::size_t i = 0; i < kCap; ++i) {
@@ -290,7 +315,7 @@ TEST(ShardEngineDeathTest, StoreSlotCapFailsFastInEveryBuild) {
 
 TEST(ShardEngine, MainThreadCancelsLaneResidentEvents) {
   for (const int threads : {1, 4}) {
-    EventQueue q(QueueImpl::kHeap, threads);
+    EventQueue q(threads);
     const NodeTag a = q.internNodeTag("a");
     q.internNodeTag("b");
     q.finalizeSharding(10 * kMicrosecond);
@@ -322,7 +347,7 @@ TEST(ShardEngine, MainThreadCancelsLaneResidentEvents) {
 
 TEST(ShardEngine, LaneCancelsItsOwnEventFromAnEarlierWindow) {
   for (const int threads : {1, 4}) {
-    EventQueue q(QueueImpl::kHeap, threads);
+    EventQueue q(threads);
     const NodeTag a = q.internNodeTag("a");
     const NodeTag b = q.internNodeTag("b");
     q.finalizeSharding(10 * kMicrosecond);
@@ -356,7 +381,7 @@ TEST(ShardEngine, CrossLaneCancelsDeferToTheBarrier) {
   // a handle whose event already fired is stale, counted under V109.
   for (const int threads : {1, 4}) {
     check::ScopedAuditCollector collector;
-    EventQueue q(QueueImpl::kHeap, threads);
+    EventQueue q(threads);
     const NodeTag a = q.internNodeTag("a");
     const NodeTag b = q.internNodeTag("b");
     q.finalizeSharding(10 * kMicrosecond);
@@ -393,7 +418,7 @@ TEST(ShardEngine, UnattributedEventsRunSerially) {
   // time; their presence must not break lane execution.
   std::vector<std::vector<Step>> ref;
   for (const int threads : {1, 2, 8}) {
-    EventQueue q(QueueImpl::kHeap, threads);
+    EventQueue q(threads);
     Workload w(q, 3, 77);
     q.finalizeSharding(Workload::kLookahead);
     int global_ticks = 0;
@@ -416,7 +441,7 @@ TEST(ShardEngine, UnattributedEventsRunSerially) {
 
 TEST(ShardEngine, RunUntilHonorsDeadlineAndAdvance) {
   for (const int threads : {1, 4}) {
-    EventQueue q(QueueImpl::kHeap, threads);
+    EventQueue q(threads);
     const NodeTag a = q.internNodeTag("a");
     q.finalizeSharding(5 * kMicrosecond);
     int fired = 0;

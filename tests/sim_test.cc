@@ -1,9 +1,11 @@
 // Unit tests for the discrete-event engine, RNG, and statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "check/audit.h"
@@ -185,47 +187,69 @@ TEST(EventQueue, CancelOrderDeterministicAfterCompaction) {
   }
 }
 
-TEST(EventQueue, HeapAndCalendarFireIdenticalSequences) {
-  // Both priority structures implement the same (when, id) total order,
-  // so a randomized workload with cancellations and re-entrant
-  // scheduling must replay identically on either implementation.
-  auto run = [](QueueImpl impl) {
-    EventQueue q(impl);
-    Random r(99);
-    std::vector<std::pair<Time, int>> fired;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 400; ++i) {
-      const Time when = r.uniformDuration(0, 2 * kSecond);
-      ids.push_back(q.schedule(when, [&q, &fired, i] {
-        fired.emplace_back(q.now(), i);
-        if (i % 5 == 0) {
-          q.scheduleAfter(kMillisecond,
-                          [&q, &fired, i] { fired.emplace_back(q.now(), 1000 + i); });
-        }
-      }));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 7) q.cancel(ids[i]);
-    q.run();
-    return fired;
+TEST(EventQueue, RandomizedWorkloadMatchesSortedReference) {
+  // The queue pops in the (when, issue order) total order.  A randomized
+  // workload with cancellations and re-entrant scheduling must replay
+  // exactly the order a plain sort of its surviving events gives.
+  Random r(99);
+  std::vector<Time> when(400);
+  for (Time& t : when) t = r.uniformDuration(0, 2 * kSecond);
+
+  EventQueue q;
+  std::vector<std::pair<Time, int>> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 400; ++i) {
+    ids.push_back(q.schedule(when[i], [&q, &fired, i] {
+      fired.emplace_back(q.now(), i);
+      if (i % 5 == 0) {
+        q.scheduleAfter(kMillisecond,
+                        [&q, &fired, i] { fired.emplace_back(q.now(), 1000 + i); });
+      }
+    }));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 7) q.cancel(ids[i]);
+  q.run();
+
+  // Reference: every 7th event is gone; each surviving multiple of 5
+  // issues its +1 ms child when it fires, so children are issued after
+  // all 400 parents, in their parents' firing order.
+  struct Ev {
+    Time when;
+    int issue;
+    int label;
   };
-  const auto heap = run(QueueImpl::kHeap);
-  const auto calendar = run(QueueImpl::kCalendar);
-  EXPECT_EQ(heap, calendar);
-  EXPECT_GT(heap.size(), 300u);
+  auto earlier = [](const Ev& a, const Ev& b) {
+    return std::tie(a.when, a.issue) < std::tie(b.when, b.issue);
+  };
+  std::vector<Ev> parents;
+  for (int i = 0; i < 400; ++i) {
+    if (i % 7 != 0) parents.push_back({when[i], i, i});
+  }
+  std::sort(parents.begin(), parents.end(), earlier);
+  std::vector<Ev> all = parents;
+  int issue = 400;
+  for (const Ev& p : parents) {
+    if (p.label % 5 == 0) {
+      all.push_back({p.when + kMillisecond, issue++, 1000 + p.label});
+    }
+  }
+  std::sort(all.begin(), all.end(), earlier);
+  std::vector<std::pair<Time, int>> expected;
+  for (const Ev& e : all) expected.emplace_back(e.when, e.label);
+  EXPECT_EQ(fired, expected);
+  EXPECT_GT(fired.size(), 300u);
 }
 
-TEST(EventQueue, CalendarHandlesSparseFarFutureEvents) {
-  // Sparse timestamps spanning minutes stress the calendar's
-  // year-window scan and its direct-search fallback; an insert earlier
-  // than the current scan position exercises the rewind path.
-  EventQueue q(QueueImpl::kCalendar);
-  EXPECT_EQ(std::string(queueImplName(q.impl())), "calendar");
+TEST(EventQueue, HandlesSparseFarFutureEvents) {
+  // Sparse timestamps spanning minutes, and an insert earlier than every
+  // pending event right after a pop, still pop in time order.
+  EventQueue q;
   std::vector<int> order;
   q.schedule(600 * kSecond, [&] { order.push_back(3); });
   q.schedule(1, [&] { order.push_back(1); });
   q.schedule(60 * kSecond, [&] { order.push_back(2); });
-  q.step();  // fires the t=1 event, scan is now positioned past it
-  q.schedule(2, [&] { order.push_back(10); });  // rewind: earlier than scan
+  q.step();  // fires the t=1 event
+  q.schedule(2, [&] { order.push_back(10); });  // earlier than every pending key
   q.run();
   EXPECT_EQ(order, (std::vector<int>{1, 10, 2, 3}));
   EXPECT_EQ(q.executedCount(), 4u);

@@ -8,8 +8,7 @@
 // real per-node event stream and reports the critical path and the
 // predicted speedup at 2/4/8/16 shards.
 //
-//   vini_profile run [--seed N] [--seconds N] [--flows N]
-//                    [--out FILE] [--queue heap|calendar]
+//   vini_profile run [--seed N] [--seconds N] [--flows N] [--out FILE]
 //       writes PROFILE_report.json (schema_version 1)
 //   vini_profile --self-test
 //
@@ -37,19 +36,18 @@ using namespace vini;
 
 int usage() {
   std::cerr << "usage: vini_profile run [--seed N] [--seconds N] [--flows N]"
-               " [--out FILE] [--queue heap|calendar]\n"
+               " [--out FILE]\n"
                "       vini_profile --self-test\n";
   return 2;
 }
 
 // -- Canned scenario (bench_engine's saturating workload) --------------------
 
-int cmdRun(std::uint64_t seed, int seconds, int flows, const std::string& out_path,
-           sim::QueueImpl queue_impl) {
+int cmdRun(std::uint64_t seed, int seconds, int flows,
+           const std::string& out_path) {
   topo::WorldOptions options;
   options.seed = seed;
   options.contention = 0.0;
-  options.queue_impl = queue_impl;
   auto world = topo::makeAbileneWorld(options);
   if (!world->runUntilConverged(180 * sim::kSecond)) {
     std::cerr << "vini_profile: world did not converge\n";
@@ -243,7 +241,6 @@ int main(int argc, char** argv) {
   int seconds = smoke ? 2 : 10;
   int flows = smoke ? 4 : 8;
   std::string out_path = "PROFILE_report.json";
-  sim::QueueImpl queue_impl = sim::QueueImpl::kHeap;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
     auto value = [&](const char* name) -> std::string {
@@ -261,23 +258,13 @@ int main(int argc, char** argv) {
       flows = std::atoi(value("--flows").c_str());
     } else if (arg == "--out") {
       out_path = value("--out");
-    } else if (arg == "--queue") {
-      const std::string which = value("--queue");
-      if (which == "heap") {
-        queue_impl = sim::QueueImpl::kHeap;
-      } else if (which == "calendar") {
-        queue_impl = sim::QueueImpl::kCalendar;
-      } else {
-        std::cerr << "vini_profile: unknown --queue '" << which << "'\n";
-        return 2;
-      }
     } else {
       return usage();
     }
   }
 
   try {
-    return cmdRun(seed, seconds, flows, out_path, queue_impl);
+    return cmdRun(seed, seconds, flows, out_path);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 1;

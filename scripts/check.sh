@@ -46,7 +46,9 @@
 #      (Chrome JSON, spans/timeline/series CSV) must be byte-identical
 #      to the 1-thread reference — thread count must never leak into
 #      results; the 1- and 8-thread Chrome JSON must also pass
-#      vini_timeline validate
+#      vini_timeline validate, and the 1-thread timeline CSV's t_ns
+#      column must never decrease (lane and main-thread rows fold
+#      through one time-ordered merge)
 #   6. clang-tidy over src/ and tools/ (skipped when not installed)
 #   7. full ctest suite under AddressSanitizer and UBSan builds, with
 #      the runtime shard-ownership check armed (-DVINI_SHARD_CHECK=ON)
@@ -198,6 +200,11 @@ done
 for T in 1 8; do
   ./build-check/tools/vini_timeline validate "build-check/timeline-t$T.json"
 done
+# Main-thread and lane rows fold in one (t, lane, issue) order, so the
+# timeline CSV's t_ns column (the third) never steps back.
+awk -F, 'NR > 2 && $3 + 0 < prev { print "vini_timeline: t_ns decreases at row " NR; bad = 1 }
+         NR > 1 { prev = $3 + 0 }
+         END { exit bad }' build-check/timeline-t1.timeline.csv || exit 1
 
 # --- 6. clang-tidy -----------------------------------------------------------
 stage "clang-tidy"

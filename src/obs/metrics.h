@@ -15,17 +15,10 @@
 // it with a *different* type throws, and the CI gate treats that as a
 // hard failure.
 //
-// Partitioning (shard readiness): partitionByNode() splits the registry
-// into per-node-group sub-maps, each the storage a future worker shard
-// would own.  A key routes to the partition of its `node` field; keys
-// whose node names no physical node (link labels like
-// "Denver-KansasCity/ab", synthetic scopes) route by a deterministic
-// FNV-1a hash so the same key always lands in the same partition.  Every
-// read-side export walks the partitions with a k-way sorted merge, so a
-// partitioned registry's CSV is byte-identical to the monolithic one —
-// the property the partition fuzz test enforces.  mergeRegistries()
-// provides the same guarantee across physically separate registries
-// (one per shard), which is the plan of record for the parallel engine.
+// Storage is one sorted map shared by every lane.  The sharded engine's
+// worker lanes never touch the map: they bump handles cached at
+// registration, and the atomic cells below keep those concurrent writes
+// interleaving-invariant.
 #pragma once
 
 #include <atomic>
@@ -85,9 +78,6 @@ class Counter {
     return value_.load(std::memory_order_relaxed);
   }
 
-  /// Fold another counter in (shard merge): counts add.
-  void merge(const Counter& other) { inc(other.value()); }
-
  private:
   std::atomic<std::uint64_t> value_{0};
 };
@@ -132,19 +122,6 @@ class Gauge {
     return version_.load(std::memory_order_relaxed);
   }
 
-  /// Fold another gauge in (shard merge).  Levels add — each shard's
-  /// gauge holds its local share of the quantity (its queue's depth,
-  /// its nodes' bytes outstanding), so the merged level is the sum.
-  /// Versions add so on-change samplers still see every shard's writes.
-  void merge(const Gauge& other) {
-    double cur = value_.load(std::memory_order_relaxed);
-    const double delta = other.value();
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-    version_.fetch_add(other.version(), std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<double> value_{0.0};
   std::atomic<std::uint64_t> version_{0};
@@ -184,11 +161,6 @@ class Histogram {
   double upperBound(std::size_t i) const { return bounds_[i]; }
   const std::vector<double>& bounds() const { return bounds_; }
 
-  /// Fold another histogram in (shard merge): buckets add pairwise.
-  /// Throws std::logic_error if the bucket bounds differ — two shards
-  /// observing the same quantity must have registered identical bounds.
-  void merge(const Histogram& other);
-
  private:
   std::vector<double> bounds_;  // ascending
   // bounds_.size() + 1 atomic buckets (last = overflow).  Bucket bumps
@@ -200,12 +172,8 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-class ScopedRegistry;
-
 class MetricsRegistry {
  public:
-  MetricsRegistry() : parts_(1) {}
-
   /// Register (or look up) a metric.  Throws std::logic_error if the key
   /// already exists with a different type — the CI gate relies on this
   /// surfacing as a hard failure.
@@ -217,35 +185,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& component, const std::string& node,
                        const std::string& name,
                        std::vector<double> upper_bounds);
-
-  // -- Partitioning (shard readiness) ---------------------------------------
-
-  /// Split storage into `groups.size()` per-node-group partitions; group
-  /// i lists the physical node names whose keys partition i owns.  Keys
-  /// whose node field names none of the listed nodes route by FNV-1a
-  /// hash, so routing stays a pure function of the key.  Must be called
-  /// while the registry is empty (before any component registers) and at
-  /// most once; throws std::logic_error otherwise, or if a node name
-  /// appears in two groups.
-  void partitionByNode(const std::vector<std::vector<std::string>>& groups);
-
-  /// Number of partitions (1 until partitionByNode() is called).
-  std::size_t partitionCount() const {
-    shard_.assertHeld();
-    return parts_.size();
-  }
-
-  /// The partition a key with node field `node` routes to: the explicit
-  /// group assignment when `node` was listed in partitionByNode(), else
-  /// a deterministic FNV-1a hash of the name.  Always 0 when
-  /// unpartitioned.
-  std::size_t partitionOf(const std::string& node) const;
-
-  /// A registration view restricted to the partition owning `node` —
-  /// what a worker shard would hold.  The view registers through the
-  /// parent but throws std::logic_error if a key routes to a different
-  /// partition, catching cross-shard registrations at construction time.
-  ScopedRegistry scoped(const std::string& node);
 
   // -- Read side (nullptr / 0 when the metric was never registered) ---------
 
@@ -269,86 +208,29 @@ class MetricsRegistry {
 
   std::size_t size() const;
 
-  /// Visit every metric in deterministic (sorted-key) order, merging
-  /// across partitions.
+  /// Visit every metric in deterministic (sorted-key) order.
   void forEach(
       const std::function<void(const MetricKey&, MetricType)>& visit) const;
 
   /// "component,node,name,type,value" rows (histograms emit one row per
-  /// bucket plus count/sum), sorted by key — byte-stable across runs
-  /// and across partitionings (the k-way merge restores global order).
+  /// bucket plus count/sum), sorted by key — byte-stable across runs.
   void writeCsv(std::ostream& os) const;
 
  private:
-  friend class ScopedRegistry;
-  friend void mergeRegistries(const std::vector<const MetricsRegistry*>& from,
-                              MetricsRegistry& into);
-
   using Metric = std::variant<Counter, Gauge, Histogram>;
-  using Partition = std::map<MetricKey, Metric>;
 
   template <typename T>
   T& registerAs(const std::string& component, const std::string& node,
-                const std::string& name, T initial);
-  /// registerAs with the caller's claimed partition checked against the
-  /// key's routed partition (ScopedRegistry path; ~0 skips the check).
-  template <typename T>
-  T& registerScoped(std::size_t claimed_part, const std::string& component,
-                    const std::string& node, const std::string& name,
-                    T initial);
+                const std::string& name, T initial) VINI_REQUIRES(shard_);
   const Metric* find(const std::string& component, const std::string& node,
-                     const std::string& name) const;
-  /// Visit every (key, metric) pair in globally sorted key order via a
-  /// k-way merge over the per-partition sorted maps.
-  void visitSorted(
-      const std::function<void(const MetricKey&, const Metric&)>& visit) const
-      VINI_REQUIRES(shard_);
+                     const std::string& name) const VINI_REQUIRES(shard_);
 
-  // The registry is a merge point for the sharded engine: every node's
-  // stack bumps counters here.  Plan of record is shard-local registries
-  // merged at sample boundaries; partitionByNode() already gives each
-  // would-be shard its own sub-map, so the maps stay shard-owned.
+  // Registration happens on the main thread at world construction; the
+  // lanes write only through the atomic cells of handles cached then.
   core::ShardToken shard_;
-  // std::map partitions: node-based (stable handle addresses) and
-  // key-sorted (deterministic iteration).  parts_.size() >= 1 always.
-  // cross-shard: merged across shard-local partitions at sample points.
-  std::vector<Partition> parts_ VINI_GUARDED_BY(shard_);
-  /// Explicit node-name → partition assignments from partitionByNode();
-  /// names absent here route by FNV-1a hash.
-  // cross-shard: written once at partition time, read-only afterwards.
-  std::map<std::string, std::size_t> node_part_ VINI_GUARDED_BY(shard_);
+  // std::map: node-based (stable handle addresses) and key-sorted
+  // (deterministic iteration).
+  std::map<MetricKey, Metric> metrics_ VINI_GUARDED_BY(shard_);
 };
-
-/// A per-partition registration view (see MetricsRegistry::scoped).
-class ScopedRegistry {
- public:
-  Counter& counter(const std::string& component, const std::string& node,
-                   const std::string& name);
-  Gauge& gauge(const std::string& component, const std::string& node,
-               const std::string& name);
-  Histogram& histogram(const std::string& component, const std::string& node,
-                       const std::string& name,
-                       std::vector<double> upper_bounds);
-
-  std::size_t partition() const { return part_; }
-
- private:
-  friend class MetricsRegistry;
-  ScopedRegistry(MetricsRegistry& parent, std::size_t part)
-      : parent_(&parent), part_(part) {}
-
-  MetricsRegistry* parent_;
-  std::size_t part_;
-};
-
-/// Fold several registries (one per shard) into `into`: keys present in
-/// one source copy over; keys present in several merge pairwise
-/// (counters/gauges add, histograms add buckets — identical bounds
-/// required).  A key carried with different metric *types* across
-/// sources throws std::logic_error.  `into` need not be empty; its
-/// existing metrics merge too.  Deterministic: the result depends only
-/// on the multiset of (key, metric) pairs, not on source order.
-void mergeRegistries(const std::vector<const MetricsRegistry*>& from,
-                     MetricsRegistry& into);
 
 }  // namespace vini::obs

@@ -39,24 +39,14 @@ struct Obs {
     sampler.bindRegistry(&metrics);
   }
 
-  /// Partition the whole obs plane by physical node groups (shard
-  /// readiness): metrics registry and packet tracer both split their
-  /// storage along the same node grouping, and every export k-way
-  /// merges back to bytes identical to the monolithic layout.  Call
-  /// before any component registers metrics or records traces — i.e.
-  /// right after installing the ScopedObs, before building the world.
-  void partitionByNode(const std::vector<std::vector<std::string>>& groups) {
-    metrics.partitionByNode(groups);
-    tracer.partitionByNode(groups);
-  }
-
   /// Arm the obs plane for the sharded (multi-threaded) engine with
   /// `lanes` worker lanes (one per interned node tag — pass
   /// EventQueue::shardLaneCount()).  Metric primitives are already
   /// atomic, so the shared registry needs no lanes; the ordered streams
-  /// (tracer, spans, timeline) buffer per lane and fold back
-  /// deterministically.  Call after the world's components registered
-  /// and interned, right after EventQueue::finalizeSharding().
+  /// (tracer, spans, timeline) buffer per lane, plus a main pseudo-lane
+  /// for the main thread, and fold back deterministically.  Call after
+  /// the world's components registered and interned, right after
+  /// EventQueue::finalizeSharding().
   void enableShardLanes(std::size_t lanes) {
     tracer.enableShardLanes(lanes);
     spans.enableShardLanes(lanes);
@@ -65,9 +55,10 @@ struct Obs {
   bool shardLanesEnabled() const { return tracer.shardLaneCount() != 0; }
 
   /// Replay every lane buffer into the shared tables in deterministic
-  /// (t, lane, issue) order.  Must run — main thread, workers quiescent
-  /// (i.e. not inside EventQueue::run) — before any export or read-side
-  /// query that should see lane-recorded data.  Idempotent; a no-op
+  /// (t, lane, issue) order (obs/lane_merge.h).  Must run — main
+  /// thread, workers quiescent (i.e. not inside EventQueue::run) —
+  /// before any export or read-side query; the record accessors and
+  /// exports throw std::logic_error until it has.  Idempotent; a no-op
   /// when lanes were never enabled.
   void foldShardLanes() {
     if (!shardLanesEnabled()) return;

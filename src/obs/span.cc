@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/export_writer.h"
+#include "obs/lane_merge.h"
 #include "obs/obs.h"
 #include "sim/event_queue.h"
 
@@ -262,29 +263,15 @@ std::int16_t SpanTracker::resolvePending(const LaneState& lane,
 void SpanTracker::foldShardLanes() {
   shard_.assertHeld();
   // Deterministic replay order: (t, lane, issue order), with the main
-  // pseudo-lane last at equal timestamps.  Per-lane op streams are
-  // time-sorted already (lane clocks are monotonic), so a stable sort
-  // on (t, lane) reproduces the same stream at every thread count.
-  struct Key {
-    sim::Time t = 0;
-    std::size_t lane = 0;
-    std::size_t idx = 0;
-  };
-  std::vector<Key> keys;
-  for (std::size_t l = 0; l < lane_states_.size(); ++l) {
-    for (std::size_t i = 0; i < lane_states_[l].ops.size(); ++i) {
-      keys.push_back(Key{lane_states_[l].ops[i].t, l, i});
-    }
-  }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.t != b.t) return a.t < b.t;
-    if (a.lane != b.lane) return a.lane < b.lane;
-    return a.idx < b.idx;
-  });
+  // pseudo-lane last at equal timestamps.
+  const auto order = laneTimeOrder(
+      lane_states_.size(), [this](std::size_t l) -> const auto& {
+        return lane_states_[l].ops;
+      });
   folding_ = true;
-  for (const Key& k : keys) {
-    const LaneState& state = lane_states_[k.lane];
-    const LaneOp op = state.ops[k.idx];
+  for (const LaneSlot& slot : order) {
+    const LaneState& state = lane_states_[slot.lane];
+    const LaneOp op = state.ops[slot.idx];
     const std::int16_t reason = resolvePending(state, op.reason);
     switch (op.kind) {
       case LaneOp::Kind::kOpen: {
@@ -319,10 +306,18 @@ void SpanTracker::foldShardLanes() {
   for (LaneState& state : lane_states_) state.ops.clear();
 }
 
-std::vector<SpanRecord> SpanTracker::traceSpans(std::uint64_t trace_id) const {
+const std::vector<SpanRecord>& SpanTracker::records() const {
   shard_.assertHeld();
+  if (hasUnfoldedLaneOps()) {
+    throw std::logic_error(
+        "obs: SpanTracker::records() before Obs::foldShardLanes()");
+  }
+  return records_;
+}
+
+std::vector<SpanRecord> SpanTracker::traceSpans(std::uint64_t trace_id) const {
   std::vector<SpanRecord> out;
-  for (const auto& rec : records_) {
+  for (const auto& rec : records()) {
     if (rec.trace_id == trace_id) out.push_back(rec);
   }
   std::sort(out.begin(), out.end(),
@@ -335,9 +330,8 @@ std::vector<SpanRecord> SpanTracker::traceSpans(std::uint64_t trace_id) const {
 }
 
 std::vector<std::uint64_t> SpanTracker::traceIds() const {
-  shard_.assertHeld();
   std::vector<std::uint64_t> ids;
-  for (const auto& rec : records_) ids.push_back(rec.trace_id);
+  for (const auto& rec : records()) ids.push_back(rec.trace_id);
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
@@ -352,14 +346,11 @@ bool SpanTracker::hasUnfoldedLaneOps() const {
 
 void SpanTracker::writeCsv(std::ostream& os) const {
   shard_.assertHeld();
-  if (hasUnfoldedLaneOps()) {
-    throw std::logic_error(
-        "obs: SpanTracker::writeCsv() before Obs::foldShardLanes()");
-  }
+  const std::vector<SpanRecord>& records = this->records();
   ExportWriter w(os);
   w.put("trace_id,span_id,root,layer,node,link,t_open_ns,t_close_ns,dur_ns,"
         "outcome,reason,bytes\n");
-  for (const auto& rec : records_) {
+  for (const auto& rec : records) {
     w.putInt(rec.trace_id).put(',').putInt(rec.span_id).put(',');
     w.put(rec.root ? '1' : '0').put(',').put(name(rec.layer)).put(',');
     w.put(name(rec.node)).put(',').put(name(rec.link)).put(',');

@@ -129,9 +129,9 @@ class SpanTracker {
   /// Arm per-lane op buffering: span operations issued from worker
   /// lanes (sim::EventQueue::currentShardLane() >= 0) are buffered as
   /// intents and replayed against the shared tables by
-  /// foldShardLanes() in (t, lane, issue-order) order — a pure
-  /// function of the event stream, byte-identical at every thread
-  /// count.  Roots opened on one lane and closed on another reconcile
+  /// foldShardLanes() in (t, lane, issue-order) order (obs/lane_merge.h)
+  /// — a pure function of the event stream, byte-identical at every
+  /// thread count.  Roots opened on one lane and closed on another reconcile
   /// at the fold because conservative lookahead guarantees the open's
   /// timestamp precedes the close's (a cross-lane hop costs at least
   /// one lookahead window).  Call before the run, at most once.
@@ -176,11 +176,9 @@ class SpanTracker {
     return late_root_closes_;
   }
 
-  /// Completed spans in close order (capped at capacity()).
-  const std::vector<SpanRecord>& records() const {
-    shard_.assertHeld();
-    return records_;
-  }
+  /// Completed spans in close order (capped at capacity()).  Throws
+  /// std::logic_error while lane buffers hold unfolded ops.
+  const std::vector<SpanRecord>& records() const;
   std::size_t capacity() const { return capacity_; }
   /// Completed spans dropped once the cap was reached (counters above
   /// remain exact).
@@ -196,8 +194,8 @@ class SpanTracker {
   std::vector<std::uint64_t> traceIds() const;
 
   /// True while lane buffers (main pseudo-lane included) hold ops
-  /// foldShardLanes() has not replayed yet; the exports throw
-  /// std::logic_error then.
+  /// foldShardLanes() has not replayed yet; records(), the trace
+  /// queries and the exports throw std::logic_error then.
   bool hasUnfoldedLaneOps() const;
 
   /// "trace_id,span_id,root,layer,node,link,t_open_ns,t_close_ns,dur_ns,

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "obs/export_writer.h"
+#include "obs/lane_merge.h"
 #include "sim/event_queue.h"
 
 namespace vini::obs {
@@ -37,12 +38,18 @@ void Timeline::duration(const std::string& track, const std::string& label,
                         sim::Time t, sim::Duration dur) {
   if (!lane_ops_.empty()) {
     const int lane = sim::EventQueue::currentShardLane();
-    if (lane >= 0 && static_cast<std::size_t>(lane) < lane_ops_.size()) {
-      lane_ops_[static_cast<std::size_t>(lane)].push_back(
-          LaneOp{track, label, t, dur > 0 ? dur : 0});
-      return;
-    }
+    const std::size_t main = lane_ops_.size() - 1;
+    lane_ops_[lane >= 0 && static_cast<std::size_t>(lane) < main
+                  ? static_cast<std::size_t>(lane)
+                  : main]
+        .push_back(LaneOp{track, label, t, dur});
+    return;
   }
+  commit(track, label, t, dur);
+}
+
+void Timeline::commit(const std::string& track, const std::string& label,
+                      sim::Time t, sim::Duration dur) {
   shard_.assertHeld();
   if (events_.size() >= capacity_) {
     ++events_lost_;
@@ -64,36 +71,29 @@ void Timeline::enableShardLanes(std::size_t lanes) {
   if (lanes == 0) {
     throw std::logic_error("obs: timeline enableShardLanes() with no lanes");
   }
-  lane_ops_.resize(lanes);
+  lane_ops_.resize(lanes + 1);  // + the main pseudo-lane
 }
 
 void Timeline::foldShardLanes() {
   shard_.assertHeld();
-  // Deterministic (t, lane, issue-order) merge; per-lane streams are
-  // already time-sorted (lane clocks are monotonic).
-  struct Cursor {
-    std::size_t lane = 0;
-    std::size_t i = 0;
-  };
-  std::vector<Cursor> cursors;
-  for (std::size_t l = 0; l < lane_ops_.size(); ++l) {
-    if (!lane_ops_[l].empty()) cursors.push_back(Cursor{l, 0});
-  }
-  for (;;) {
-    Cursor* best = nullptr;
-    for (Cursor& c : cursors) {
-      if (c.i == lane_ops_[c.lane].size()) continue;
-      if (best == nullptr ||
-          lane_ops_[c.lane][c.i].t < lane_ops_[best->lane][best->i].t) {
-        best = &c;
-      }
-    }
-    if (best == nullptr) break;
-    const LaneOp& op = lane_ops_[best->lane][best->i];
-    duration(op.track, op.label, op.t, op.dur);
-    ++best->i;
+  const auto order = laneTimeOrder(
+      lane_ops_.size(), [this](std::size_t l) -> const auto& {
+        return lane_ops_[l];
+      });
+  for (const LaneSlot& s : order) {
+    const LaneOp& op = lane_ops_[s.lane][s.idx];
+    commit(op.track, op.label, op.t, op.dur);
   }
   for (auto& buf : lane_ops_) buf.clear();
+}
+
+const std::vector<TimelineEvent>& Timeline::events() const {
+  shard_.assertHeld();
+  if (hasUnfoldedLaneOps()) {
+    throw std::logic_error(
+        "obs: Timeline::events() before Obs::foldShardLanes()");
+  }
+  return events_;
 }
 
 const std::string& Timeline::trackName(std::int16_t id) const {
@@ -119,13 +119,10 @@ bool Timeline::hasUnfoldedLaneOps() const {
 
 void Timeline::writeCsv(std::ostream& os) const {
   shard_.assertHeld();
-  if (hasUnfoldedLaneOps()) {
-    throw std::logic_error(
-        "obs: Timeline::writeCsv() before Obs::foldShardLanes()");
-  }
+  const std::vector<TimelineEvent>& events = this->events();
   ExportWriter w(os);
   w.put("track,label,t_ns,dur_ns\n");
-  for (const auto& ev : events_) {
+  for (const auto& ev : events) {
     w.put(trackName(ev.track)).put(',').put(labelName(ev.label)).put(',');
     w.putInt(ev.t).put(',').putInt(ev.dur).put('\n');
   }
@@ -140,6 +137,7 @@ void Timeline::clear() {
   track_index_.clear();
   label_index_.clear();
   events_.clear();
+  for (auto& buf : lane_ops_) buf.clear();
 }
 
 // -- MetricSampler ----------------------------------------------------------
@@ -244,35 +242,6 @@ void MetricSampler::clear() {
   for (auto& w : watch_state_) w = Watch{};
 }
 
-void mergeSamplers(const std::vector<const MetricSampler*>& from,
-                   MetricSampler& into) {
-  into.shard_.assertHeld();
-  for (MetricSampler::Series& dst : into.series_) {
-    for (const MetricSampler* src : from) {
-      if (src == nullptr || src == &into) continue;
-      src->shard_.assertHeld();
-      for (const MetricSampler::Series& s : src->series_) {
-        if (s.key != dst.key || s.mode != dst.mode) continue;
-        // Merge by timestamp; existing points win ties so the merge is
-        // stable in source order.
-        std::vector<MetricSampler::Point> merged;
-        merged.reserve(dst.points.size() + s.points.size());
-        std::size_t i = 0;
-        std::size_t j = 0;
-        while (i < dst.points.size() || j < s.points.size()) {
-          if (j == s.points.size() ||
-              (i < dst.points.size() && dst.points[i].t <= s.points[j].t)) {
-            merged.push_back(dst.points[i++]);
-          } else {
-            merged.push_back(s.points[j++]);
-          }
-        }
-        dst.points = std::move(merged);
-      }
-    }
-  }
-}
-
 // -- Chrome trace-event export ----------------------------------------------
 
 namespace {
@@ -288,10 +257,8 @@ std::vector<std::string> escapeAll(const std::vector<std::string>& names) {
 
 void writeChromeTrace(std::ostream& os, const SpanTracker& spans,
                       const Timeline& timeline, const MetricSampler& sampler) {
-  if (spans.hasUnfoldedLaneOps() || timeline.hasUnfoldedLaneOps()) {
-    throw std::logic_error(
-        "obs: writeChromeTrace() before Obs::foldShardLanes()");
-  }
+  // The accessors throw while lane buffers hold unfolded events, before
+  // anything is written.
   const std::vector<SpanRecord>& records = spans.records();
   const std::vector<TimelineEvent>& tl_events = timeline.events();
   const std::vector<std::string>& tracks = timeline.trackNames();

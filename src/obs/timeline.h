@@ -52,25 +52,28 @@ class Timeline {
   /// Record an instant event ("spf_run" on track "ospf/1.0.0.1") at `t`.
   void instant(const std::string& track, const std::string& label,
                sim::Time t);
-  /// Record a duration event covering [t, t + dur).  From inside a
-  /// worker lane the event is buffered (strings and all) and replayed
-  /// by foldShardLanes() in deterministic (t, lane, issue) order.
+  /// Record a duration event covering [t, t + dur).  While shard lanes
+  /// are armed the event is buffered (strings and all) on its worker
+  /// lane, or on the main pseudo-lane from the main thread, and
+  /// replayed by foldShardLanes() in deterministic (t, lane, issue)
+  /// order (obs/lane_merge.h).
   void duration(const std::string& track, const std::string& label,
                 sim::Time t, sim::Duration dur);
 
   /// Arm per-lane event buffers for the sharded engine (see
   /// PacketTracer::enableShardLanes — same contract).
   void enableShardLanes(std::size_t lanes);
-  std::size_t shardLaneCount() const { return lane_ops_.size(); }
+  std::size_t shardLaneCount() const {
+    return lane_ops_.empty() ? 0 : lane_ops_.size() - 1;
+  }
   /// Replay lane buffers through the shared tables (interning in replay
   /// order, so ids and bytes are thread-count invariant).  Main-thread
   /// only, lanes quiescent; idempotent.
   void foldShardLanes();
 
-  const std::vector<TimelineEvent>& events() const {
-    shard_.assertHeld();
-    return events_;
-  }
+  /// Events in record order.  Throws std::logic_error while lane
+  /// buffers hold unfolded events.
+  const std::vector<TimelineEvent>& events() const;
   const std::vector<std::string>& trackNames() const {
     shard_.assertHeld();
     return tracks_;
@@ -87,7 +90,7 @@ class Timeline {
   }
 
   /// True while lane buffers hold events foldShardLanes() has not
-  /// replayed yet; the exports throw std::logic_error then.
+  /// replayed yet; events() and the exports throw std::logic_error then.
   bool hasUnfoldedLaneOps() const;
 
   /// "track,label,t_ns,dur_ns" rows in record order.
@@ -96,12 +99,14 @@ class Timeline {
   void clear();
 
  private:
+  /// Append to the shared tables: the one write path, serial and fold
+  /// alike.
+  void commit(const std::string& track, const std::string& label,
+              sim::Time t, sim::Duration dur);
   std::int16_t intern(std::vector<std::string>& names,
                       std::unordered_map<std::string, std::int16_t>& index,
                       const std::string& name);
 
-  // Sharded plan: shard-local timelines, events merged by (t, seq) at
-  // export; the intern tables stay shard-owned to keep record() cheap.
   core::ShardToken shard_;
   std::size_t capacity_;
   std::uint64_t events_lost_ VINI_GUARDED_BY(shard_) = 0;
@@ -111,7 +116,6 @@ class Timeline {
       VINI_GUARDED_BY(shard_);
   std::unordered_map<std::string, std::int16_t> label_index_
       VINI_GUARDED_BY(shard_);
-  // cross-shard: merged across shard-local timelines at export time.
   std::vector<TimelineEvent> events_ VINI_GUARDED_BY(shard_);
   /// One buffered lane event (strings kept: interning happens at the
   /// fold so table ids stay independent of worker interleaving).
@@ -121,8 +125,9 @@ class Timeline {
     sim::Time t = 0;
     sim::Duration dur = 0;
   };
-  /// Per-lane buffers; lane-owned during windows, drained by the main
-  /// thread at the fold (barrier-separated, never racing).
+  /// Per-lane buffers plus the trailing main pseudo-lane; lane-owned
+  /// during windows, drained by the main thread at the fold
+  /// (barrier-separated, never racing).
   std::vector<std::vector<LaneOp>> lane_ops_;
 };
 
@@ -202,8 +207,6 @@ class MetricSampler {
   void clear();
 
  private:
-  friend void mergeSamplers(const std::vector<const MetricSampler*>& from,
-                            MetricSampler& into);
   struct Watch {
     std::uint64_t last_counter = 0;
     std::uint64_t last_gauge_version = 0;
@@ -215,7 +218,6 @@ class MetricSampler {
   // The sampler rides the queue's advance hook, so it executes on the
   // shard that owns the attached queue.
   core::ShardToken shard_;
-  // cross-shard: will read merged shard-local registries at sample points.
   const MetricsRegistry* registry_ VINI_PT_GUARDED_BY(shard_) = nullptr;
   sim::EventQueue* attached_queue_ VINI_PT_GUARDED_BY(shard_) = nullptr;
   sim::Duration period_ VINI_GUARDED_BY(shard_) = 0;
@@ -223,16 +225,6 @@ class MetricSampler {
   std::vector<Series> series_ VINI_GUARDED_BY(shard_);
   std::vector<Watch> watch_state_ VINI_GUARDED_BY(shard_);
 };
-
-/// Fold several samplers (one per shard) into `into`: each of `into`'s
-/// watched series gains the points of every source series with the same
-/// (key, mode), merged by timestamp (stable — source order breaks
-/// ties).  In the sharded plan each key is sampled by exactly the shard
-/// owning its metric, so the merged sampler's CSV is byte-identical to
-/// a monolithic sampler watching the same keys — the partition fuzz
-/// test enforces this.  Sources must not be `into` itself.
-void mergeSamplers(const std::vector<const MetricSampler*>& from,
-                   MetricSampler& into);
 
 // ---------------------------------------------------------------------------
 // Export: one Chrome trace-event JSON (Perfetto / about:tracing loadable)

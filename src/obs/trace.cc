@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/export_writer.h"
+#include "obs/lane_merge.h"
 #include "sim/event_queue.h"
 
 namespace vini::obs {
@@ -34,17 +35,9 @@ const char* traceEventName(TraceEvent ev) {
 }
 
 PacketTracer::PacketTracer(std::size_t capacity)
-    : capacity_(capacity ? capacity : 1), rings_(1) {}
+    : capacity_(capacity ? capacity : 1) {}
 
 namespace {
-
-std::int16_t intern(std::vector<std::string>& table, const std::string& name) {
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (table[i] == name) return static_cast<std::int16_t>(i);
-  }
-  table.push_back(name);
-  return static_cast<std::int16_t>(table.size() - 1);
-}
 
 const std::string& lookup(const std::vector<std::string>& table,
                           std::int16_t id) {
@@ -55,55 +48,26 @@ const std::string& lookup(const std::vector<std::string>& table,
 
 }  // namespace
 
-void PacketTracer::partitionByNode(
-    const std::vector<std::vector<std::string>>& groups) {
-  shard_.assertHeld();
-  if (rings_.size() != 1) {
-    throw std::logic_error("obs: tracer already partitioned");
-  }
-  if (total_ != 0) {
-    throw std::logic_error(
-        "obs: tracer partitionByNode() after records were recorded");
-  }
-  if (groups.empty()) {
-    throw std::logic_error("obs: tracer partitionByNode() with no groups");
-  }
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (const std::string& node : groups[g]) {
-      if (!node_group_.emplace(node, g).second) {
-        throw std::logic_error("obs: tracer node " + node +
-                               " assigned to two partitions");
-      }
-    }
-  }
-  rings_.resize(groups.size());
-  // Nodes interned before the split re-route to their group.
-  for (std::size_t i = 0; i < node_names_.size(); ++i) {
-    const auto it = node_group_.find(node_names_[i]);
-    node_parts_[i] = it == node_group_.end() ? 0 : it->second;
-  }
-}
-
-std::size_t PacketTracer::ringOf(std::int16_t node) const {
-  if (node < 0 || static_cast<std::size_t>(node) >= node_parts_.size()) {
-    return 0;
-  }
-  return node_parts_[static_cast<std::size_t>(node)];
+std::int16_t PacketTracer::intern(
+    std::vector<std::string>& names,
+    std::unordered_map<std::string, std::int16_t>& index,
+    const std::string& name) {
+  if (auto it = index.find(name); it != index.end()) return it->second;
+  if (names.size() >= 0x7fff) throw std::length_error("tracer name table full");
+  const auto id = static_cast<std::int16_t>(names.size());
+  names.push_back(name);
+  index.emplace(name, id);
+  return id;
 }
 
 std::int16_t PacketTracer::internNode(const std::string& name) {
   shard_.assertHeld();
-  const std::int16_t id = intern(node_names_, name);
-  if (static_cast<std::size_t>(id) == node_parts_.size()) {
-    const auto it = node_group_.find(name);
-    node_parts_.push_back(it == node_group_.end() ? 0 : it->second);
-  }
-  return id;
+  return intern(node_names_, node_index_, name);
 }
 
 std::int16_t PacketTracer::internLink(const std::string& name) {
   shard_.assertHeld();
-  return intern(link_names_, name);
+  return intern(link_names_, link_index_, name);
 }
 
 const std::string& PacketTracer::nodeName(std::int16_t id) const {
@@ -119,22 +83,23 @@ const std::string& PacketTracer::linkName(std::int16_t id) const {
 void PacketTracer::record(const TraceRecord& rec) {
   if (!lane_records_.empty()) {
     const int lane = sim::EventQueue::currentShardLane();
-    if (lane >= 0 && static_cast<std::size_t>(lane) < lane_records_.size()) {
-      lane_records_[static_cast<std::size_t>(lane)].push_back(rec);
-      return;
-    }
+    const std::size_t main = lane_records_.size() - 1;
+    lane_records_[lane >= 0 && static_cast<std::size_t>(lane) < main
+                      ? static_cast<std::size_t>(lane)
+                      : main]
+        .push_back(rec);
+    return;
   }
+  commit(rec);
+}
+
+void PacketTracer::commit(const TraceRecord& rec) {
   shard_.assertHeld();
-  Ring& ring = rings_[ringOf(rec.node)];
-  const std::size_t pos = static_cast<std::size_t>(ring.total % capacity_);
-  if (ring.records.size() < capacity_) {
-    ring.records.push_back(rec);
-    ring.stamps.push_back(total_);
+  if (records_.size() < capacity_) {
+    records_.push_back(rec);
   } else {
-    ring.records[pos] = rec;
-    ring.stamps[pos] = total_;
+    records_[static_cast<std::size_t>(total_ % capacity_)] = rec;
   }
-  ++ring.total;
   ++total_;
   ++kind_totals_[static_cast<std::size_t>(rec.event)];
 }
@@ -147,105 +112,49 @@ void PacketTracer::enableShardLanes(std::size_t lanes) {
   if (lanes == 0) {
     throw std::logic_error("obs: tracer enableShardLanes() with no lanes");
   }
-  lane_records_.resize(lanes);
+  lane_records_.resize(lanes + 1);  // + the main pseudo-lane
 }
 
 void PacketTracer::foldShardLanes() {
   shard_.assertHeld();
-  // Deterministic merge order: (t, lane, within-lane emit order).  Each
-  // lane's buffer is already time-sorted (a lane's local clock is
-  // monotonic and windows only move forward), so a stable sort on t
-  // with the lane index as tie-break reproduces the same byte stream at
-  // every thread count.
-  struct Cursor {
-    std::size_t lane = 0;
-    std::size_t i = 0;
-  };
-  std::vector<Cursor> cursors;
-  for (std::size_t l = 0; l < lane_records_.size(); ++l) {
-    if (!lane_records_[l].empty()) cursors.push_back(Cursor{l, 0});
-  }
-  for (;;) {
-    Cursor* best = nullptr;
-    for (Cursor& c : cursors) {
-      if (c.i == lane_records_[c.lane].size()) continue;
-      if (best == nullptr ||
-          lane_records_[c.lane][c.i].t < lane_records_[best->lane][best->i].t) {
-        best = &c;
-      }
-    }
-    if (best == nullptr) break;
-    record(lane_records_[best->lane][best->i]);
-    ++best->i;
-  }
+  const auto order = laneTimeOrder(
+      lane_records_.size(),
+      [this](std::size_t l) -> const auto& { return lane_records_[l]; });
+  for (const LaneSlot& s : order) commit(lane_records_[s.lane][s.idx]);
   for (auto& buf : lane_records_) buf.clear();
 }
 
 std::size_t PacketTracer::size() const {
   shard_.assertHeld();
-  std::size_t n = 0;
-  for (const Ring& ring : rings_) n += ring.records.size();
-  return n;
+  return records_.size();
 }
 
 bool PacketTracer::wrapped() const {
   shard_.assertHeld();
-  for (const Ring& ring : rings_) {
-    if (ring.total > capacity_) return true;
-  }
-  return false;
+  return total_ > capacity_;
 }
 
 std::vector<TraceRecord> PacketTracer::snapshot() const {
   shard_.assertHeld();
-  // Per-ring survivors in recording order (oldest surviving first),
-  // then a k-way merge by global stamp restores the tracer-wide
-  // recording order — byte-for-byte what the monolithic ring would
-  // hold, as long as no ring wrapped.
-  struct Cursor {
-    const Ring* ring;
-    std::size_t start;  // position of the oldest surviving record
-    std::size_t i = 0;  // survivors consumed
-    std::size_t n;      // survivors held
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(rings_.size());
-  for (const Ring& ring : rings_) {
-    const std::size_t held = ring.records.size();
-    const std::size_t start =
-        ring.total > held ? static_cast<std::size_t>(ring.total % capacity_)
-                          : 0;
-    cursors.push_back(Cursor{&ring, start, 0, held});
+  if (hasUnfoldedLaneOps()) {
+    throw std::logic_error(
+        "obs: PacketTracer::snapshot() before Obs::foldShardLanes()");
   }
-  std::vector<TraceRecord> out;
-  out.reserve(size());
-  for (;;) {
-    Cursor* best = nullptr;
-    std::uint64_t best_stamp = 0;
-    for (Cursor& c : cursors) {
-      if (c.i == c.n) continue;
-      const std::uint64_t stamp = c.ring->stamps[(c.start + c.i) % c.n];
-      if (best == nullptr || stamp < best_stamp) {
-        best = &c;
-        best_stamp = stamp;
-      }
-    }
-    if (best == nullptr) break;
-    out.push_back(best->ring->records[(best->start + best->i) % best->n]);
-    ++best->i;
-  }
+  // Once the ring wrapped, the oldest survivor sits in the slot the next
+  // record would overwrite.
+  const auto start = static_cast<std::ptrdiff_t>(
+      wrapped() ? static_cast<std::size_t>(total_ % capacity_) : 0);
+  std::vector<TraceRecord> out(records_.begin() + start, records_.end());
+  out.insert(out.end(), records_.begin(), records_.begin() + start);
   return out;
 }
 
 void PacketTracer::clear() {
   shard_.assertHeld();
-  for (Ring& ring : rings_) {
-    ring.records.clear();
-    ring.stamps.clear();
-    ring.total = 0;
-  }
+  records_.clear();
   total_ = 0;
   kind_totals_.fill(0);
+  for (auto& buf : lane_records_) buf.clear();
 }
 
 bool PacketTracer::hasUnfoldedLaneOps() const {
@@ -257,13 +166,10 @@ bool PacketTracer::hasUnfoldedLaneOps() const {
 
 void PacketTracer::writeCsv(std::ostream& os) const {
   shard_.assertHeld();
-  if (hasUnfoldedLaneOps()) {
-    throw std::logic_error(
-        "obs: PacketTracer::writeCsv() before Obs::foldShardLanes()");
-  }
+  const std::vector<TraceRecord> records = snapshot();
   ExportWriter w(os);
   w.put("t_ns,event,node,link,src,dst,flow,seq,bytes\n");
-  for (const TraceRecord& r : snapshot()) {
+  for (const TraceRecord& r : records) {
     w.putInt(r.t).put(',').put(traceEventName(r.event)).put(',');
     w.put(nodeName(r.node)).put(',').put(linkName(r.link)).put(',');
     w.putInt(r.src).put(',').putInt(r.dst).put(',').putInt(r.flow).put(',');
@@ -323,10 +229,10 @@ std::vector<std::string> getNameTable(std::istream& is) {
 
 void PacketTracer::writeBinary(std::ostream& os) const {
   shard_.assertHeld();
+  const auto records = snapshot();
   os.write("VTRC", 4);
   putLe<std::uint16_t>(os, kBinaryVersion);
   putLe<std::uint16_t>(os, static_cast<std::uint16_t>(kBinaryRecordSize));
-  const auto records = snapshot();
   putLe<std::uint64_t>(os, records.size());
   for (const TraceRecord& r : records) {
     putLe<std::int64_t>(os, r.t);

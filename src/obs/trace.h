@@ -15,8 +15,8 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/thread_annotations.h"
@@ -61,23 +61,10 @@ class PacketTracer {
   explicit PacketTracer(std::size_t capacity = kDefaultCapacity);
 
   /// Intern a node/link name, returning the small id used in records.
-  /// Re-interning the same name returns the same id.
+  /// Re-interning the same name returns the same id.  Throws
+  /// std::length_error once a table holds 0x7fff names (ids are int16).
   std::int16_t internNode(const std::string& name);
   std::int16_t internLink(const std::string& name);
-
-  /// Split record storage into per-node-group rings (each with the full
-  /// configured capacity), mirroring MetricsRegistry::partitionByNode:
-  /// group i owns the records of the nodes it lists; records tied to no
-  /// listed node (pure link events, node = -1) land in ring 0.  Every
-  /// record carries a global monotone stamp, and the read side k-way
-  /// merges the rings by stamp, so snapshot(), CSV, and VTRC exports
-  /// are byte-identical to the monolithic tracer as long as no ring has
-  /// wrapped.  Must be called before any record; at most once.
-  void partitionByNode(const std::vector<std::vector<std::string>>& groups);
-  std::size_t partitionCount() const {
-    shard_.assertHeld();
-    return rings_.size();
-  }
 
   const std::string& nodeName(std::int16_t id) const;
   const std::string& linkName(std::int16_t id) const;
@@ -88,18 +75,21 @@ class PacketTracer {
 
   /// Arm per-lane record buffers for the sharded engine: a record()
   /// issued from inside a worker lane (sim::EventQueue::currentShardLane()
-  /// >= 0) is appended to its lane's private buffer instead of the
-  /// shared rings, keeping the hot path lock-free and race-free.
-  /// foldShardLanes() later replays the buffers through the normal
-  /// record() path in (t, lane, emit-order) order — a pure function of
-  /// the event stream, so exports stay byte-identical across thread
-  /// counts.  Call after construction-time interning, before the run.
+  /// >= 0) is appended to its lane's private buffer, and one issued from
+  /// the main thread to a trailing main pseudo-lane, instead of the
+  /// shared ring.  foldShardLanes() later replays every buffer into the
+  /// ring in (t, lane, emit-order) order (obs/lane_merge.h) — a pure
+  /// function of the event stream, so exports stay byte-identical across
+  /// thread counts and the ring keeps the latest records once it wraps.
+  /// Call after construction-time interning, before the run.
   void enableShardLanes(std::size_t lanes);
-  std::size_t shardLaneCount() const { return lane_records_.size(); }
-  /// Merge every lane buffer into the shared rings (stamps, ring
-  /// routing, and kind totals assigned exactly as a serial recorder
-  /// would).  Main-thread only, lanes quiescent; idempotent.  Must run
-  /// before any read-side call that should see lane-recorded traffic.
+  std::size_t shardLaneCount() const {
+    return lane_records_.empty() ? 0 : lane_records_.size() - 1;
+  }
+  /// Merge every lane buffer into the shared ring (kind totals assigned
+  /// exactly as a serial recorder would).  Main-thread only, lanes
+  /// quiescent; idempotent.  Must run before any read-side call that
+  /// should see records made while lanes were armed.
   void foldShardLanes();
 
   // -- Read side ------------------------------------------------------------
@@ -116,16 +106,17 @@ class PacketTracer {
     shard_.assertHeld();
     return kind_totals_[static_cast<std::size_t>(ev)];
   }
-  /// Number of records currently held (<= capacity * partitions).
+  /// Number of records currently held (<= capacity).
   std::size_t size() const;
-  /// Capacity of each ring (the construction-time capacity).
+  /// Capacity of the ring.
   std::size_t capacity() const {
     shard_.assertHeld();
     return capacity_;
   }
   bool wrapped() const;
 
-  /// Records in recording order, oldest surviving first.
+  /// Records in recording order, oldest surviving first.  Throws
+  /// std::logic_error while lane buffers hold unfolded records.
   std::vector<TraceRecord> snapshot() const;
 
   void clear();
@@ -133,7 +124,7 @@ class PacketTracer {
   // -- Export ---------------------------------------------------------------
 
   /// True while lane buffers hold records foldShardLanes() has not
-  /// merged yet; writeCsv() throws std::logic_error then.
+  /// merged yet; snapshot() and the exports throw std::logic_error then.
   bool hasUnfoldedLaneOps() const;
 
   /// "t_ns,event,node,link,src,dst,flow,seq,bytes" with names resolved.
@@ -159,44 +150,35 @@ class PacketTracer {
   static constexpr std::size_t kBinaryRecordSize = 41;
 
  private:
-  /// One per-partition ring.  records/stamps grow to capacity_ then
-  /// wrap; stamps carry the global record ordinal so the read side can
-  /// restore recording order across rings.
-  struct Ring {
-    std::vector<TraceRecord> records;
-    std::vector<std::uint64_t> stamps;
-    std::uint64_t total = 0;  ///< records ever routed to this ring
-  };
+  /// Append to the ring: the one write path, serial and fold alike.
+  void commit(const TraceRecord& rec);
+  std::int16_t intern(std::vector<std::string>& names,
+                      std::unordered_map<std::string, std::int16_t>& index,
+                      const std::string& name) VINI_REQUIRES(shard_);
 
-  /// Partition owning records of interned node id `node` (-1 → ring 0).
-  std::size_t ringOf(std::int16_t node) const VINI_REQUIRES(shard_);
-
-  // Sharded plan: one ring per shard, merged by stamp at export —
-  // recording stays lock-free on the hot path.  partitionByNode()
-  // already runs that merge path on the single-threaded engine.
   core::ShardToken shard_;
   std::size_t capacity_ VINI_GUARDED_BY(shard_);
-  // cross-shard: merged across shard-local rings at export time.
-  std::vector<Ring> rings_ VINI_GUARDED_BY(shard_);
-  /// Global stamp counter: total records ever recorded, any ring.
+  /// The ring: grows to capacity_, then record total_ overwrites slot
+  /// total_ % capacity_.
+  std::vector<TraceRecord> records_ VINI_GUARDED_BY(shard_);
+  /// Total records ever committed.
   std::uint64_t total_ VINI_GUARDED_BY(shard_) = 0;
   std::array<std::uint64_t, kTraceEventKinds> kind_totals_
       VINI_GUARDED_BY(shard_){};
-  // The intern tables stay tracer-global (not per-ring) so record ids —
-  // and therefore exports — are independent of the partitioning.
   std::vector<std::string> node_names_ VINI_GUARDED_BY(shard_);
   std::vector<std::string> link_names_ VINI_GUARDED_BY(shard_);
-  /// Partition of each interned node id (parallel to node_names_).
-  std::vector<std::size_t> node_parts_ VINI_GUARDED_BY(shard_);
-  /// Per-lane record buffers (enableShardLanes).  Each inner vector is
-  /// written only by the thread executing that lane inside a window and
-  /// drained by the main thread at foldShardLanes(); rounds are
+  std::unordered_map<std::string, std::int16_t> node_index_
+      VINI_GUARDED_BY(shard_);
+  std::unordered_map<std::string, std::int16_t> link_index_
+      VINI_GUARDED_BY(shard_);
+  /// Per-lane record buffers plus the trailing main pseudo-lane
+  /// (enableShardLanes sizes this to lanes + 1; empty = lanes off).
+  /// Each lane buffer is written only by the thread executing that lane
+  /// inside a window, the main pseudo-lane only by the main thread, and
+  /// all are drained by the main thread at foldShardLanes(); rounds are
   /// separated by the pool barrier, so access never races.  The outer
   /// vector is sized once, before the run.
   std::vector<std::vector<TraceRecord>> lane_records_;
-  /// Explicit node-name → partition assignments from partitionByNode().
-  // cross-shard: written once at partition time, read-only afterwards.
-  std::map<std::string, std::size_t> node_group_ VINI_GUARDED_BY(shard_);
 };
 
 }  // namespace vini::obs

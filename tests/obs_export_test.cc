@@ -301,9 +301,10 @@ TEST(ObsExportGolden, LargeExportsCrossBufferBoundaries) {
 }
 
 // ---------------------------------------------------------------------------
-// Export-before-fold guard: under the sharded engine, records made on
-// worker lanes reach the shared tables only at Obs::foldShardLanes().
-// An export before that would silently drop them, so it throws.
+// Read-before-fold guard: under the sharded engine, records made while
+// lanes are armed reach the shared tables only at Obs::foldShardLanes().
+// A read or export before that would silently answer from partial state,
+// so the record accessors, and every export reading through them, throw.
 
 TEST(ObsExportFoldGuard, ExportsThrowUntilLanesAreFolded) {
   obs::ScopedObs scope;
@@ -331,7 +332,12 @@ TEST(ObsExportFoldGuard, ExportsThrowUntilLanesAreFolded) {
   EXPECT_THROW(scope.spans().writeCsv(early), std::logic_error);
   EXPECT_THROW(scope.timeline().writeCsv(early), std::logic_error);
   EXPECT_THROW(scope.tracer().writeCsv(early), std::logic_error);
+  EXPECT_THROW(scope.tracer().writeBinary(early), std::logic_error);
   EXPECT_TRUE(early.str().empty());
+  EXPECT_THROW(scope.tracer().snapshot(), std::logic_error);
+  EXPECT_THROW(scope.spans().records(), std::logic_error);
+  EXPECT_THROW(scope.spans().traceIds(), std::logic_error);
+  EXPECT_THROW(scope.timeline().events(), std::logic_error);
 
   scope.obs().foldShardLanes();
   EXPECT_FALSE(scope.spans().hasUnfoldedLaneOps());
@@ -347,6 +353,8 @@ TEST(ObsExportFoldGuard, ExportsThrowUntilLanesAreFolded) {
   EXPECT_GT(scope.spans().records().size(), 0u);
   EXPECT_GT(scope.timeline().events().size(), 0u);
   EXPECT_GT(scope.tracer().size(), 0u);
+  EXPECT_EQ(scope.tracer().snapshot().size(), scope.tracer().size());
+  EXPECT_FALSE(scope.spans().traceIds().empty());
 }
 
 }  // namespace

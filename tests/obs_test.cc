@@ -7,6 +7,7 @@
 #include <cmath>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -136,6 +137,19 @@ TEST(PacketTracer, RingOverflowKeepsTotalsExact) {
   EXPECT_EQ(tracer.totalRecorded(), 11u);
   EXPECT_EQ(tracer.eventCount(obs::TraceEvent::kEnqueue), 6u);
   EXPECT_EQ(tracer.eventCount(obs::TraceEvent::kQueueDrop), 5u);
+}
+
+TEST(PacketTracer, FullNameTableThrowsInsteadOfWrapping) {
+  // Record ids are int16: the 0x7fff'th name would wrap to a negative id
+  // that exports as "-".
+  obs::PacketTracer tracer(4);
+  for (int i = 0; i < 0x7fff; ++i) {
+    ASSERT_EQ(tracer.internLink("link" + std::to_string(i)), i);
+  }
+  EXPECT_EQ(tracer.internLink("link0"), 0);  // hits still resolve
+  EXPECT_THROW(tracer.internLink("one-too-many"), std::length_error);
+  EXPECT_EQ(tracer.linkName(0x7ffe), "link32766");
+  EXPECT_EQ(tracer.internNode("Washington"), 0);  // separate table
 }
 
 TEST(PacketTracer, BinaryRoundTrip) {

@@ -143,6 +143,42 @@ TEST(ShardDeterminism, ExportsByteIdenticalAcrossThreadCounts) {
   }
 }
 
+/// Number of rows of `csv` (header skipped) whose integer column
+/// `column` is smaller than the previous row's; `rows` gets the count.
+std::size_t timeRegressions(const std::string& csv, std::size_t column,
+                            std::size_t& rows) {
+  std::istringstream in(csv);
+  std::string line;
+  std::getline(in, line);  // header
+  rows = 0;
+  std::size_t regressions = 0;
+  long long prev = 0;
+  while (std::getline(in, line)) {
+    std::size_t start = 0;
+    for (std::size_t c = 0; c < column; ++c) start = line.find(',', start) + 1;
+    const long long t = std::stoll(line.substr(start));
+    if (rows++ > 0 && t < prev) ++regressions;
+    prev = t;
+  }
+  return regressions;
+}
+
+TEST(ShardDeterminism, OrderedExportsAreInTimeOrder) {
+  // Main-thread (kNoNode) records and lane records fold through one
+  // (t, lane, issue) merge, so the timeline and packet-trace CSVs never
+  // step back in time, whatever thread recorded a row.
+  for (const int threads : {1, 2}) {
+    const Exports e = runScenario(901, threads);
+    std::size_t rows = 0;
+    EXPECT_EQ(timeRegressions(e.timeline, 2, rows), 0u)
+        << threads << " threads: timeline t_ns decreases";
+    EXPECT_GT(rows, 100u);
+    EXPECT_EQ(timeRegressions(e.trace, 0, rows), 0u)
+        << threads << " threads: trace t_ns decreases";
+    EXPECT_GT(rows, 100u);
+  }
+}
+
 TEST(ShardDeterminism, DifferentSeedsStillDiffer) {
   // Guard against the degenerate pass where exports are identical
   // because nothing seed-dependent was captured.

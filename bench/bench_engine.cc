@@ -13,17 +13,21 @@
 //   peak event storage    high-water entries resident in the event queue
 //                         (live + cancelled tombstones — the memory the
 //                         engine pins)
+//   rounds, critical path the sharded engine's own tally of the window
+//                         (EventQueue::shardTally()): parallel rounds and
+//                         the events on their critical path; events /
+//                         critical path is the row's speedup ceiling
 //
 // Results go to BENCH_engine.json so every later PR shows a perf
 // trajectory; scripts/check.sh runs the smoke mode and CI uploads the
 // artifact.  The run is seeded and the *simulation* side is
-// deterministic (events, packets, peak storage); only the wall-clock
-// readings vary between machines.
+// deterministic (events, packets, peak storage, rounds, critical path);
+// only the wall-clock readings vary between machines.
 //
 // The event queue orders its keys in a 4-ary heap.
 //
 //   bench_engine [--out FILE] [--seconds N] [--flows N] [--threads LIST]
-//                [--profile FILE] [--baseline FILE]
+//                [--baseline FILE]
 //   VINI_SMOKE=1 shrinks the run for CI gating.
 //
 // --threads LIST is a comma-separated sweep of engine worker counts
@@ -32,15 +36,9 @@
 // every N (threads = 1 is its serial reference, so speedup_vs_1t in the
 // JSON is a like-for-like parallel speedup).  When the sweep includes a
 // threads = 1 run, 4+-thread runs on a >= 6-core machine must clear
-// 1.5x its events/s — the parallel-engine payoff gate.
-//
-// --profile FILE additionally runs the same workload once more with the
-// parallelism profiler attached and writes its deterministic
-// PROFILE_report.json (see obs/parallelism.h) — the shard-readiness
-// artifact CI uploads next to this bench's JSON.  When the sweep
-// measured real parallel runs, the measured speedups are cross-checked
-// against the profiler's predicted ceilings (warn below 50% of
-// predicted).
+// 1.5x its events/s — the parallel-engine payoff gate — and every
+// measured speedup is set against the row's own ceiling (warn below 50%
+// of it).
 //
 // --baseline FILE compares this run's events/s against a checked-in
 // BENCH_engine.json from an earlier commit and fails on a >15%
@@ -58,7 +56,6 @@
 
 #include "app/iperf.h"
 #include "bench_common.h"
-#include "obs/parallelism.h"
 #include "topo/worlds.h"
 
 using namespace vini;
@@ -74,6 +71,8 @@ struct RunResult {
   double wall_seconds = 0.0;
   std::uint64_t peak_pending = 0;
   std::uint64_t peak_storage = 0;
+  std::uint64_t rounds = 0;          // sharded rounds in the window
+  std::uint64_t critical_path = 0;   // their critical-path events
 
   double eventsPerSec() const {
     return wall_seconds > 0 ? static_cast<double>(events) / wall_seconds : 0.0;
@@ -84,6 +83,12 @@ struct RunResult {
   }
   double simWallRatio() const {
     return wall_seconds > 0 ? sim_seconds / wall_seconds : 0.0;
+  }
+  /// The speedup these rounds allow (0 for the classic engine).
+  double ceiling() const {
+    return critical_path > 0 ? static_cast<double>(events) /
+                                   static_cast<double>(critical_path)
+                             : 0.0;
   }
 };
 
@@ -99,13 +104,7 @@ std::uint64_t totalTxPackets(const topo::World& world) {
 /// One measured run: build the Abilene mirror on `threads` engine
 /// workers, converge the overlay (not timed — we measure the
 /// steady-state hot path, not setup), then saturate and time it.
-/// `profile_out`, when non-empty, attaches the parallelism profiler to
-/// the measured window and writes its PROFILE_report.json there (the
-/// profiler is passive, but kept off plain timing runs so the
-/// introspection hook never clouds the wall numbers).
-RunResult runOnce(int threads, int flows, int seconds,
-                  const std::string& profile_out = {},
-                  obs::ParallelismProfiler::Report* report_out = nullptr) {
+RunResult runOnce(int threads, int flows, int seconds) {
   RunResult result;
   result.threads = threads;
 
@@ -145,32 +144,16 @@ RunResult runOnce(int threads, int flows, int seconds,
     clients.back()->start(seconds * sim::kSecond);
   }
 
-  obs::ParallelismProfiler profiler;
-  if (!profile_out.empty()) {
-    profiler.setLookahead(world->net.minPropagation());
-    profiler.attach(world->queue);
-  }
-
+  const sim::EventQueue::ShardTally tally_before = world->queue.shardTally();
   const std::uint64_t events_before = world->queue.executedCount();
   const std::uint64_t packets_before = totalTxPackets(*world);
   const auto wall_start = std::chrono::steady_clock::now();
   world->queue.runUntil(t0 + seconds * sim::kSecond);
   const auto wall_end = std::chrono::steady_clock::now();
 
-  if (!profile_out.empty()) {
-    const obs::ParallelismProfiler::Report report =
-        profiler.analyze({2, 4, 8, 16});
-    profiler.detach();
-    std::ofstream out(profile_out);
-    obs::ParallelismProfiler::writeJson(out, report);
-    std::printf("  [profile report written to %s: %llu events, "
-                "cross-node ratio %.4f]\n",
-                profile_out.c_str(),
-                static_cast<unsigned long long>(report.total_events),
-                report.cross_node_ratio);
-    if (report_out) *report_out = report;
-  }
-
+  const sim::EventQueue::ShardTally tally = world->queue.shardTally();
+  result.rounds = tally.rounds - tally_before.rounds;
+  result.critical_path = tally.critical_path - tally_before.critical_path;
   result.events = world->queue.executedCount() - events_before;
   result.sim_packets = totalTxPackets(*world) - packets_before;
   result.sim_seconds = sim::toSeconds(seconds * sim::kSecond);
@@ -275,13 +258,19 @@ void writeRunJson(std::ofstream& out, const RunResult& r, bool last) {
       "      \"wall_seconds\": %.6f,\n"
       "      \"sim_wall_ratio\": %.3f,\n"
       "      \"peak_pending_events\": %llu,\n"
-      "      \"peak_event_storage\": %llu\n"
+      "      \"peak_event_storage\": %llu,\n"
+      "      \"rounds\": %llu,\n"
+      "      \"critical_path_events\": %llu,\n"
+      "      \"ceiling\": %.3f\n"
       "    }%s\n",
       r.threads, static_cast<unsigned long long>(r.events), r.eventsPerSec(),
       r.speedup_vs_1t, static_cast<unsigned long long>(r.sim_packets),
       r.packetsPerSec(), r.sim_seconds, r.wall_seconds, r.simWallRatio(),
       static_cast<unsigned long long>(r.peak_pending),
-      static_cast<unsigned long long>(r.peak_storage), last ? "" : ",");
+      static_cast<unsigned long long>(r.peak_storage),
+      static_cast<unsigned long long>(r.rounds),
+      static_cast<unsigned long long>(r.critical_path), r.ceiling(),
+      last ? "" : ",");
   out << buf;
 }
 
@@ -291,7 +280,6 @@ int main(int argc, char** argv) {
   const bool smoke = std::getenv("VINI_SMOKE") != nullptr;
   std::string out_path = "BENCH_engine.json";
   std::string threads_arg = smoke ? "0,2" : "0,1,2,4,8";
-  std::string profile_path;
   std::string baseline_path;
   int seconds = smoke ? 2 : 10;
   int flows = smoke ? 4 : 8;
@@ -313,15 +301,12 @@ int main(int argc, char** argv) {
       flows = std::atoi(v);
     } else if (const char* v = value("--threads")) {
       threads_arg = v;
-    } else if (const char* v = value("--profile")) {
-      profile_path = v;
     } else if (const char* v = value("--baseline")) {
       baseline_path = v;
     } else {
       std::fprintf(stderr,
                    "usage: bench_engine [--out FILE] [--seconds N] "
-                   "[--flows N] [--threads LIST] [--profile FILE] "
-                   "[--baseline FILE]\n");
+                   "[--flows N] [--threads LIST] [--baseline FILE]\n");
       return 2;
     }
   }
@@ -356,12 +341,16 @@ int main(int argc, char** argv) {
         "\n  threads=%d %9.2f s sim in %6.2f s wall (ratio %6.2f)\n"
         "    events        %12llu   (%.0f events/s)\n"
         "    sim packets   %12llu   (%.0f packets/s)\n"
-        "    peak pending  %12llu   peak storage %llu\n",
+        "    peak pending  %12llu   peak storage %llu\n"
+        "    rounds        %12llu   critical path %llu events (ceiling "
+        "%.2fx)\n",
         r.threads, r.sim_seconds, r.wall_seconds, r.simWallRatio(),
         static_cast<unsigned long long>(r.events), r.eventsPerSec(),
         static_cast<unsigned long long>(r.sim_packets), r.packetsPerSec(),
         static_cast<unsigned long long>(r.peak_pending),
-        static_cast<unsigned long long>(r.peak_storage));
+        static_cast<unsigned long long>(r.peak_storage),
+        static_cast<unsigned long long>(r.rounds),
+        static_cast<unsigned long long>(r.critical_path), r.ceiling());
     runs.push_back(std::move(r));
   }
 
@@ -375,13 +364,6 @@ int main(int argc, char** argv) {
         r.speedup_vs_1t = r.eventsPerSec() / ref.eventsPerSec();
       }
     }
-  }
-
-  // The shard-readiness profile rides a separate run so the profiler's
-  // introspection hook never touches the timed ones.
-  obs::ParallelismProfiler::Report profile_report;
-  if (!profile_path.empty()) {
-    runOnce(/*threads=*/0, flows, seconds, profile_path, &profile_report);
   }
 
   std::ofstream out(out_path);
@@ -401,9 +383,11 @@ int main(int argc, char** argv) {
 
   // Consistency gate, not a perf gate: the *simulation* must not depend
   // on engine internals.  Sharded runs (threads >= 1) must agree with
-  // each other across thread counts.  (Classic and sharded are
-  // different — but each individually deterministic — event orders; see
-  // DESIGN.md.)  Wall time is the only column allowed to differ.
+  // each other across thread counts, rounds included.  (Classic and
+  // sharded are different — but each individually deterministic — event
+  // orders; see DESIGN.md.)  Wall time and the critical path, which
+  // depends on the context count, are the only columns allowed to
+  // differ.
   const RunResult* classic_ref = nullptr;
   const RunResult* sharded_ref = nullptr;
   for (const RunResult& r : runs) {
@@ -412,43 +396,39 @@ int main(int argc, char** argv) {
       ref = &r;
       continue;
     }
-    if (r.events != ref->events || r.sim_packets != ref->sim_packets) {
+    if (r.events != ref->events || r.sim_packets != ref->sim_packets ||
+        r.rounds != ref->rounds) {
       std::fprintf(stderr,
                    "bench_engine: runs diverged "
-                   "(t%d: %llu events / %llu packets, "
-                   "t%d: %llu / %llu)\n",
+                   "(t%d: %llu events / %llu packets / %llu rounds, "
+                   "t%d: %llu / %llu / %llu)\n",
                    ref->threads,
                    static_cast<unsigned long long>(ref->events),
                    static_cast<unsigned long long>(ref->sim_packets),
+                   static_cast<unsigned long long>(ref->rounds),
                    r.threads,
                    static_cast<unsigned long long>(r.events),
-                   static_cast<unsigned long long>(r.sim_packets));
+                   static_cast<unsigned long long>(r.sim_packets),
+                   static_cast<unsigned long long>(r.rounds));
       return 1;
     }
   }
 
-  // Measured-vs-predicted cross-check: the profiler's CP(k) model gives
-  // a ceiling; landing below half of it flags a scaling problem (windows
-  // too small, barrier overhead, load imbalance) without failing the
-  // bench — machines differ.
-  if (!profile_path.empty()) {
-    for (const RunResult& r : runs) {
-      if (r.threads < 2 || r.speedup_vs_1t <= 0) continue;
-      for (const auto& pred : profile_report.predictions) {
-        if (pred.shards != r.threads || pred.predicted_speedup <= 0) continue;
-        const double frac = r.speedup_vs_1t / pred.predicted_speedup;
-        std::printf("  scaling: threads=%d measured %.2fx vs "
-                    "predicted %.2fx (%.0f%%)\n",
-                    r.threads, r.speedup_vs_1t,
-                    pred.predicted_speedup, 100.0 * frac);
-        if (frac < 0.5) {
-          std::fprintf(stderr,
-                       "bench_engine: WARNING: threads=%d reached "
-                       "only %.0f%% of the predicted %.2fx speedup\n",
-                       r.threads, 100.0 * frac,
-                       pred.predicted_speedup);
-        }
-      }
+  // Measured-vs-ceiling cross-check: each row's rounds bound its
+  // speedup at events / critical path; landing below half of that flags
+  // a scaling problem (barrier overhead, serial phases, wake-up cost)
+  // without failing the bench — machines differ.
+  for (const RunResult& r : runs) {
+    if (r.threads < 2 || r.speedup_vs_1t <= 0 || r.ceiling() <= 0) continue;
+    const double frac = r.speedup_vs_1t / r.ceiling();
+    std::printf("  scaling: threads=%d measured %.2fx vs ceiling %.2fx "
+                "(%.0f%%)\n",
+                r.threads, r.speedup_vs_1t, r.ceiling(), 100.0 * frac);
+    if (frac < 0.5) {
+      std::fprintf(stderr,
+                   "bench_engine: WARNING: threads=%d reached only %.0f%% "
+                   "of its %.2fx ceiling\n",
+                   r.threads, 100.0 * frac, r.ceiling());
     }
   }
 

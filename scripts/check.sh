@@ -27,15 +27,11 @@
 #      verb enabled (spare substrate node, V130-V133 audits) must pass
 #      and print byte-identical reports and migration JSON across two
 #      runs; MIGRATION_report.json is the CI artifact
-#   5f. parallelism-ceiling profiler gate: vini_profile --self-test,
-#      then a same-seed double run whose PROFILE_report.json files must
-#      be byte-identical, and a bench_engine --profile run that must
-#      reproduce vini_profile's report byte for byte (two independent
-#      drivers of the same seeded scenario).  PROFILE_report.json is a
-#      CI artifact
 #   5g. perf-trajectory gate: a fresh full-fidelity bench_engine run
 #      (its internal gate fails unless every sharded thread count
-#      simulates identical event/packet counts) writes BENCH_engine.json
+#      simulates identical event/packet/round counts; each row also
+#      reports the shard runtime's critical path and the speedup
+#      ceiling it implies) writes BENCH_engine.json
 #      and is compared against the checked-in one; events/s more than
 #      15% below baseline fails.  The binary self-skips the
 #      comparison under VINI_SMOKE (smoke runs are too short to be
@@ -150,29 +146,10 @@ diff build-check/MIGRATION_report.json build-check/migration-run-2.json || {
   exit 1
 }
 
-# --- 5f. Parallelism-ceiling profiler gate -----------------------------------
-# The profiler's report must be a pure function of the seed: two runs
-# byte-diff, and the same scenario driven through bench_engine --profile
-# must produce the same bytes again.  PROFILE_report.json is the CI
-# artifact consumed by shard-count planning.
-stage "vini_profile (self-test + double-run diff + bench_engine --profile diff)"
-./build-check/tools/vini_profile --self-test
-(cd build-check && VINI_SMOKE=1 ./tools/vini_profile run --seed 4711 \
-  --out PROFILE_report.json > /dev/null)
-(cd build-check && VINI_SMOKE=1 ./tools/vini_profile run --seed 4711 \
-  --out profile-run-2.json > /dev/null)
-diff build-check/PROFILE_report.json build-check/profile-run-2.json || {
-  echo "vini_profile: seed 4711 report is not bit-reproducible"; exit 1; }
-(cd build-check && VINI_SMOKE=1 ./bench/bench_engine \
-  --out bench-profile.json --profile profile-bench.json > /dev/null)
-diff build-check/PROFILE_report.json build-check/profile-bench.json || {
-  echo "vini_profile vs bench_engine --profile: same seed, different report"
-  exit 1
-}
-
 # --- 5g. Perf-trajectory gate -------------------------------------------------
 # Compare a fresh full-fidelity run against the checked-in baseline;
-# bench_engine exits nonzero when events/s regresses more than 15%.
+# bench_engine exits nonzero when events/s regresses more than 15%, or
+# when two sharded thread counts disagree on events, packets or rounds.
 # Under VINI_SMOKE (exported by the caller) the binary self-skips the
 # comparison, so smoke invocations of this script stay fast and stable.
 stage "bench_engine --baseline BENCH_engine.json (>15% events/s regression fails)"

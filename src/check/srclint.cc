@@ -667,10 +667,9 @@ void ruleV207(const std::string& path, const Lexed& lx,
 
 // V208: unknown event-schedule tag.  EventQueue::schedule/scheduleAfter
 // accept a static tag string that attributes the event to a subsystem for
-// the event-loop profiler and the parallelism profiler; downstream
-// tooling (vini_profile, PROFILE_report.json consumers, dashboards) keys
-// on the documented vocabulary, so a typo'd or ad-hoc tag silently
-// vanishes from every per-subsystem breakdown.  The vocabulary lives in
+// the event-loop profiler; downstream tooling (vinibench's per-tag cost
+// table, dashboards) keys on the documented vocabulary, so a typo'd or
+// ad-hoc tag silently vanishes from every per-subsystem breakdown.  The vocabulary lives in
 // the README ("Schedule tag vocabulary"); "test" and "bench" are
 // reserved for tests, tools, and benches.
 //

@@ -72,8 +72,8 @@ class PhysNetwork {
   std::size_t linkCount() const { return links_.size(); }
   /// Smallest one-way propagation delay over all links — the largest
   /// conservative lookahead a sharded run of this topology could use,
-  /// and what vini_profile feeds the ParallelismProfiler.  0 when the
-  /// network has no links.
+  /// and the window the shard runtime runs with.  0 when the network
+  /// has no links.
   sim::Duration minPropagation() const;
   const std::vector<std::unique_ptr<PhysNode>>& nodes() const { return nodes_; }
   const std::vector<std::unique_ptr<PhysLink>>& links() const { return links_; }

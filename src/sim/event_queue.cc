@@ -46,6 +46,11 @@ std::size_t EventQueue::shardLaneCount() const {
   return shard_rt_ ? shard_rt_->laneCount() : 0;
 }
 
+EventQueue::ShardTally EventQueue::shardTally() const {
+  shard_.assertHeld();
+  return shard_rt_ ? shard_rt_->tally() : ShardTally{};
+}
+
 NodeTag EventQueue::internNodeTag(const std::string& name) {
   shard_.assertHeld();
   for (std::size_t i = 0; i < node_tag_names_.size(); ++i) {
@@ -113,9 +118,7 @@ EventId EventQueue::schedule(Time when, const char* tag, NodeTag node,
   Slot& s = global_.slots[slot];
   s.cb = std::move(cb);
   s.tag = tag;
-  s.sched_at = now_;
   s.node = node;
-  s.sched_from = exec_node_;
   const std::uint64_t stamp = next_seq_++;
   if (shard_rt_ != nullptr && node < shard_rt_->laneCount()) {
     // A node event lives in its lane's Store; the handle names the
@@ -382,9 +385,7 @@ bool EventQueue::runNext(Store& store) {
   Slot& s = store.slots[slot];
   Callback cb = std::move(s.cb);
   const char* tag = s.tag;
-  const Time sched_at = s.sched_at;
   const NodeTag node = s.node;
-  const NodeTag sched_from = s.sched_from;
   unlinkStub(s);
   store.releaseSlot(slot);
   --store.live;
@@ -405,7 +406,6 @@ bool EventQueue::runNext(Store& store) {
   } else {
     ++executed_unattributed_;
   }
-  if (introspect_) introspect_(ExecEvent{key.when, sched_at, node, sched_from});
   // Events the handler schedules are attributed as scheduled-from this
   // event's node; reset afterwards (step() does not nest).
   exec_node_ = node;

@@ -117,10 +117,9 @@ class EventQueue {
   }
 
   /// As above, additionally attributing the event to a physical node
-  /// (from internNodeTag).  Attribution is passive bookkeeping for the
-  /// shard-readiness telemetry: per-node executed counts, the
-  /// cross-node scheduling ratio, and the parallelism profiler all key
-  /// off it, and a run is byte-identical with or without it.
+  /// (from internNodeTag).  A sharded queue runs the event on that
+  /// node's lane; either engine counts it per node and in the
+  /// cross-node scheduling ratio.
   EventId schedule(Time when, const char* tag, NodeTag node, Callback cb);
 
   /// Schedule `cb` to run `delay` after the current time.  Routed
@@ -172,6 +171,22 @@ class EventQueue {
   bool sharded() const { return shard_rt_ != nullptr; }
   int shardThreads() const { return shard_threads_; }
   std::size_t shardLaneCount() const;
+
+  /// What the shard runtime executed since finalizeSharding(): parallel
+  /// `rounds`, `events` (serial steps plus lane events) and
+  /// `critical_path` — per round, max(busiest lane's events,
+  /// ceil(round events / contexts)) with contexts = min(threads,
+  /// lanes), plus 1 per serial step.  events / critical_path is the
+  /// speedup ceiling of these very rounds (an upper bound: it splits a
+  /// round's events evenly, though a lane runs on one context).  All
+  /// three are deterministic; rounds and events do not depend on the
+  /// thread count.  Zeros for the classic engine.
+  struct ShardTally {
+    std::uint64_t rounds = 0;
+    std::uint64_t events = 0;
+    std::uint64_t critical_path = 0;
+  };
+  ShardTally shardTally() const;
 
   /// Lane the calling thread is currently executing (any queue), or -1
   /// outside sharded lane execution.  The observability layer routes
@@ -274,25 +289,6 @@ class EventQueue {
     profiler_ = std::move(hook);
   }
 
-  /// One executed event, as seen by the introspection hook: its
-  /// execution time, the time it was scheduled at, and the node
-  /// attribution of the event and of the handler that scheduled it.
-  struct ExecEvent {
-    Time when = 0;
-    Time sched_at = 0;
-    NodeTag node = kNoNode;
-    NodeTag sched_from = kNoNode;
-  };
-  /// Introspection hook: called for every executed event, before its
-  /// callback runs (the parallelism profiler is the intended client).
-  /// Passive — it must not schedule or cancel; pass nullptr to
-  /// uninstall.
-  using IntrospectHook = std::function<void(const ExecEvent&)>;
-  void setIntrospector(IntrospectHook hook) {
-    shard_.assertHeld();
-    introspect_ = std::move(hook);
-  }
-
   /// Time-advance observation hook: called whenever now() is about to
   /// advance — before the event at the new time executes, and at the
   /// runUntil() deadline clamp — with the old and new time (from < to).
@@ -359,12 +355,11 @@ class EventQueue {
   }
 
   /// Slab record: the callback (captures inline up to 64 bytes), the
-  /// profiler tag, the node attribution (owning node, scheduling node,
-  /// scheduling time — the parallelism profiler's raw material), and
-  /// the order word of its queued key (0 when not queued).  Sharded
-  /// mode links Stores: a *stub* forwards (link_*) to a record in
-  /// another Store and carries its key (when, ord); the record links
-  /// back (linked, link_*) so retiring it frees the stub.
+  /// profiler tag, the owning node, and the order word of its queued
+  /// key (0 when not queued).  Sharded mode links Stores: a *stub*
+  /// forwards (link_*) to a record in another Store and carries its key
+  /// (when, ord); the record links back (linked, link_*) so retiring it
+  /// frees the stub.
   struct Slot {
     Callback cb;
     const char* tag = nullptr;
@@ -372,10 +367,8 @@ class EventQueue {
     /// Sharded mode: the timestamp of a record awaiting its stamp, or
     /// of the record a stub forwards to.
     Time when = 0;
-    Time sched_at = 0;
     std::uint32_t gen = 1;
     NodeTag node = kNoNode;
-    NodeTag sched_from = kNoNode;
     std::uint32_t link_slot = 0;
     NodeTag link_ctx = kNoNode;
     bool linked = false;
@@ -489,7 +482,6 @@ class EventQueue {
 
   ProfileHook profiler_ VINI_GUARDED_BY(shard_);
   AdvanceHook advance_ VINI_GUARDED_BY(shard_);
-  IntrospectHook introspect_ VINI_GUARDED_BY(shard_);
 
   // Per-node attribution state.  All passive counters: they never feed
   // back into event order, so a run is byte-identical with or without

@@ -60,9 +60,7 @@ void ShardRuntime::handOver(Slot& from, NodeTag from_ctx,
   Slot& rec = to.slots[r];
   rec.cb = std::move(from.cb);
   rec.tag = from.tag;
-  rec.sched_at = from.sched_at;
   rec.node = from.node;
-  rec.sched_from = from.sched_from;
   rec.ord = (stamp << EventQueue::kSlotBits) | r;
   rec.linked = true;
   rec.link_ctx = from_ctx;
@@ -114,9 +112,9 @@ void ShardRuntime::finalize(Duration lookahead) {
   // The main thread participates, so N contexts mean N - 1 spawned
   // workers.  A round never runs more lanes than exist, so contexts
   // beyond the lane count would only idle: cap them there.
-  const int contexts =
-      static_cast<int>(std::min<std::size_t>(threads_, n));
-  for (int i = 1; i < contexts; ++i) {
+  contexts_ = std::max<std::size_t>(
+      1, std::min<std::size_t>(static_cast<std::size_t>(threads_), n));
+  for (std::size_t i = 1; i < contexts_; ++i) {
     workers_.emplace_back([this] { workerLoop(); });
   }
 }
@@ -145,7 +143,10 @@ bool ShardRuntime::step() {
   queue_.shard_.assertHeld();
   Key next;
   Store* store = earliest(next);
-  return store != nullptr && queue_.runNext(*store);
+  if (store == nullptr || !queue_.runNext(*store)) return false;
+  ++tally_.events;
+  ++tally_.critical_path;
+  return true;
 }
 
 void ShardRuntime::runUntil(Time deadline) {
@@ -164,6 +165,8 @@ void ShardRuntime::runUntil(Time deadline) {
     }
     if (store == &q.global_) {
       q.runNext(q.global_);  // a lone serial event; the next round re-anchors
+      ++tally_.events;
+      ++tally_.critical_path;
     } else {
       roundAt(next.when, deadline);
     }
@@ -198,20 +201,19 @@ void ShardRuntime::roundAt(Time anchor, Time deadline) {
   std::sort(active_.begin(), active_.end(), [](const Lane* a, const Lane* b) {
     return EventQueue::keyEarlier(a->top, b->top);
   });
-  ++rounds_;
+  ++tally_.rounds;
   dispatchLanes();
   applyBarrier();
 }
 
 void ShardRuntime::dispatchLanes() {
   queue_.shard_.assertHeld();
-  const bool hooks = static_cast<bool>(queue_.profiler_) ||
-                     static_cast<bool>(queue_.introspect_);
+  const bool hooks = static_cast<bool>(queue_.profiler_);
   core::beginShardParallelPhase();
   if (threads_ <= 1 || hooks || active_.size() <= 1) {
     // Serial lane execution — canonically equivalent, because lanes
-    // are independent within a window, and required when profiling or
-    // introspection hooks (which are not thread-safe) are installed.
+    // are independent within a window, and required when the profile
+    // hook (which is not thread-safe) is installed.
     for (Lane* lane : active_) execLane(*lane, hooks);
   } else {
     const std::size_t count = active_.size();
@@ -303,8 +305,6 @@ void ShardRuntime::execLane(Lane& lane, bool run_hooks) {
     Slot& s = store.slots[slot];
     EventQueue::Callback cb = std::move(s.cb);
     const char* tag = s.tag;
-    const Time sched_at = s.sched_at;
-    const NodeTag sched_from = s.sched_from;
     retire(lane, s);
     store.releaseSlot(slot);
     --store.live;
@@ -313,10 +313,6 @@ void ShardRuntime::execLane(Lane& lane, bool run_hooks) {
     if (key.when < lane.local_now) lane.monotonic_violation = true;
     lane.local_now = key.when;
     ++lane.executed;
-    if (run_hooks && queue_.introspect_) {
-      queue_.introspect_(EventQueue::ExecEvent{
-          key.when, sched_at, static_cast<NodeTag>(lane.index), sched_from});
-    }
     if (run_hooks && queue_.profiler_) {
       const auto start = std::chrono::steady_clock::now();
       cb();
@@ -362,9 +358,7 @@ EventId ShardRuntime::workerSchedule(Lane& lane, Time when, const char* tag,
   Slot& s = store.slots[slot];
   s.cb = std::move(cb);
   s.tag = tag;
-  s.sched_at = lane.local_now;
   s.node = node;
-  s.sched_from = static_cast<NodeTag>(lane.index);
   if (node == lane.index && when < horizon_.when) {
     // Own node, inside the window: runs this round, after every key
     // queued before the window and in issue order among its peers.
@@ -435,6 +429,8 @@ void ShardRuntime::applyBarrier() {
   std::uint64_t stale = 0;
   bool monotonic_ok = true;
   bool cancels = false;
+  std::uint64_t round_events = 0;
+  std::uint64_t busiest = 0;
   for (Lane* lp : active_) {
     Lane& lane = *lp;
     // Free the stubs of records the lane retired.
@@ -475,6 +471,8 @@ void ShardRuntime::applyBarrier() {
     monotonic_ok = monotonic_ok && !lane.monotonic_violation;
     q.executed_ += lane.executed;
     q.node_executed_[lane.index] += lane.executed;
+    round_events += lane.executed;
+    busiest = std::max(busiest, lane.executed);
     q.same_node_scheduled_ += lane.same_sched;
     if (lane.cross_sched != 0) {
       if (q.cross_node_scheduled_ == 0 ||
@@ -490,24 +488,29 @@ void ShardRuntime::applyBarrier() {
     lane.stale_cancels = 0;
     lane.monotonic_violation = false;
   }
+  // The round's critical path: its busiest lane, or its events spread
+  // evenly over the contexts, whichever is longer.
+  tally_.events += round_events;
+  tally_.critical_path +=
+      std::max(busiest, (round_events + contexts_ - 1) / contexts_);
   VINI_AUDIT_CHECK(
       round_violations == 0,
       (check::Diagnostic{
           check::Severity::kWarning, "V108",
-          "shard round " + std::to_string(rounds_),
+          "shard round " + std::to_string(tally_.rounds),
           std::to_string(round_violations) +
               " cross-lane event(s) scheduled inside the conservative "
               "lookahead window"}));
   VINI_AUDIT_CHECK(
       monotonic_ok,
       (check::Diagnostic{check::Severity::kError, "V100",
-                         "shard round " + std::to_string(rounds_),
+                         "shard round " + std::to_string(tally_.rounds),
                          "lane-local time ran backwards inside a window"}));
   VINI_AUDIT_CHECK(
       stale == 0,
       (check::Diagnostic{
           check::Severity::kWarning, "V109",
-          "shard round " + std::to_string(rounds_),
+          "shard round " + std::to_string(tally_.rounds),
           std::to_string(stale) +
               " cancel(s) of already-resolved events inside worker lanes"}));
   // Deferred cancels, same order, once every held event has its Store.

@@ -2,10 +2,10 @@
 //
 // The ShardRuntime shards a run across worker threads by physical node
 // (one *lane* per interned NodeTag) with conservative lookahead
-// windows, the architecture ROADMAP item 2 sketches and the
-// obs::ParallelismProfiler models.  Each lane owns an EventQueue::Store
-// (slab + 4-ary heap) with every pending event of its node; the
-// queue's global Store keeps only unattributed (kNoNode) events.
+// windows, the architecture ROADMAP item 2 sketches.  Each lane owns an
+// EventQueue::Store (slab + 4-ary heap) with every pending event of its
+// node; the queue's global Store keeps only unattributed (kNoNode)
+// events.
 //
 //   * A round anchors at T, the earliest key over the global top and
 //     the lane tops.  An unattributed event there runs serially on the
@@ -76,6 +76,8 @@ class ShardRuntime {
 
   std::size_t laneCount() const { return lanes_.size(); }
   Duration lookahead() const { return lookahead_; }
+  /// See EventQueue::shardTally().
+  EventQueue::ShardTally tally() const { return tally_; }
 
  private:
   friend class EventQueue;
@@ -182,8 +184,11 @@ class ShardRuntime {
   /// The current window's horizon key (see the header comment).
   Key horizon_;
 
-  /// Rounds executed (names the round in barrier audits).
-  std::uint64_t rounds_ = 0;
+  /// Worker contexts, the main thread included: min(threads, lanes).
+  std::size_t contexts_ = 1;
+  /// Rounds, events and critical path (tally_.rounds also names the
+  /// round in barrier audits).
+  EventQueue::ShardTally tally_;
 
   // Pool state.  No waits are timed (srclint V203): workers block on
   // the round counter and the main thread blocks on the done counter.

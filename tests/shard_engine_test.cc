@@ -2,7 +2,8 @@
 // per-node execution sequence of a workload must be a pure function of
 // the event stream — identical across worker-thread counts, and (for
 // workloads with no barrier-staged timestamp collisions) identical to
-// the classic single-threaded engine.
+// the classic single-threaded engine.  The runtime's round tally
+// (EventQueue::shardTally()) is held to the same standard.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -15,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include "app/iperf.h"
 #include "check/audit.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
+#include "topo/worlds.h"
 
 namespace vini::sim {
 namespace {
@@ -459,6 +462,69 @@ TEST(ShardEngine, RunUntilHonorsDeadlineAndAdvance) {
     q.setAdvanceObserver(nullptr);
     q.runUntil(2 * kMillisecond);
     EXPECT_EQ(2, fired);
+  }
+}
+
+TEST(ShardEngine, TallyCriticalPathFollowsTheBusiestLane) {
+  // Four windows, each with 9 events on a hot lane and 1 on a cold one:
+  // the hot lane gates every round, so 2 contexts cut 40 events to a
+  // 36-event critical path, and 1 context runs all 40 in sequence.
+  for (const int threads : {1, 2}) {
+    EventQueue q(threads);
+    const NodeTag hot = q.internNodeTag("hot");
+    const NodeTag cold = q.internNodeTag("cold");
+    q.finalizeSharding(kMillisecond);
+    for (int w = 0; w < 4; ++w) {
+      const Time t = w * kMillisecond + kMicrosecond;
+      for (int i = 0; i < 9; ++i) q.schedule(t + i, "test", hot, [] {});
+      q.schedule(t + 100, "test", cold, [] {});
+    }
+    q.runUntil(kSecond);  // run() would cut windows at its drain chunks
+    const EventQueue::ShardTally tally = q.shardTally();
+    EXPECT_EQ(tally.rounds, 4u) << "threads=" << threads;
+    EXPECT_EQ(tally.events, 40u) << "threads=" << threads;
+    EXPECT_EQ(tally.critical_path, threads == 1 ? 40u : 36u)
+        << "threads=" << threads;
+  }
+}
+
+TEST(ShardEngine, TallyOnAbileneFloodDoesNotDependOnThreadCount) {
+  auto run = [](int threads) {
+    topo::WorldOptions options;
+    options.seed = 4711;
+    options.threads = threads;
+    options.contention = 0.0;
+    auto world = topo::makeAbileneWorld(options);
+    EXPECT_TRUE(world->runUntilConverged(180 * kSecond));
+    const Time t0 = world->queue.now();
+    app::IperfUdpServer server(world->stack("Seattle"), 5001);
+    app::IperfUdpClient client(world->stack("Washington"),
+                               world->tapOf("Seattle"), 5001, 120e6, 1430,
+                               world->tapOf("Washington"));
+    client.start(kSecond / 4);
+    world->queue.runUntil(t0 + kSecond / 4);
+    if (threads > 0) {
+      // Every event of a sharded world runs through the shard runtime.
+      EXPECT_EQ(world->queue.shardTally().events,
+                world->queue.executedCount());
+    }
+    return world->queue.shardTally();
+  };
+  const EventQueue::ShardTally classic = run(0);
+  EXPECT_EQ(classic.rounds, 0u);
+  EXPECT_EQ(classic.events, 0u);
+  EXPECT_EQ(classic.critical_path, 0u);
+
+  const EventQueue::ShardTally one = run(1);
+  EXPECT_GT(one.rounds, 0u);
+  EXPECT_EQ(one.critical_path, one.events);
+  for (const int threads : {2, 4}) {
+    const EventQueue::ShardTally t = run(threads);
+    EXPECT_EQ(t.rounds, one.rounds) << "threads=" << threads;
+    EXPECT_EQ(t.events, one.events) << "threads=" << threads;
+    EXPECT_LE(t.events / threads, t.critical_path) << "threads=" << threads;
+    EXPECT_LE(t.critical_path, t.events) << "threads=" << threads;
+    EXPECT_LT(t.critical_path, one.critical_path) << "threads=" << threads;
   }
 }
 

@@ -13,9 +13,10 @@
 #   3. full ctest suite on the strict build
 #   4. vini_trace --self-test (VTRC binary format round trip)
 #   5. smoke-run the obs-ported benches (VINI_SMOKE=1): fig6, fig8, and
-#      the BM_Obs micro-benchmarks.  These run with a live metrics
-#      registry, so any metric registered twice with conflicting types
-#      aborts the bench (std::logic_error) and fails the gate.  They run
+#      the BM_Obs, BM_Fib and BM_Tunnel micro-benchmarks.  These run with
+#      a live metrics registry, so any metric registered twice with
+#      conflicting types aborts the bench (std::logic_error) and fails
+#      the gate.  They run
 #      from the build dir so their CSVs never clobber tracked artifacts.
 #   5b. vini_chaos smoke: a seeded fault campaign must pass its
 #      invariant audits and print byte-identical reports across two runs
@@ -96,7 +97,7 @@ stage "vini_trace --self-test"
 stage "bench smoke (VINI_SMOKE=1)"
 (cd build-check && VINI_SMOKE=1 ./bench/bench_fig6_udp_loss > /dev/null)
 (cd build-check && VINI_SMOKE=1 ./bench/bench_fig8_ospf_convergence > /dev/null)
-(cd build-check && ./bench/bench_micro --benchmark_filter='BM_Obs.*' \
+(cd build-check && ./bench/bench_micro --benchmark_filter='BM_(Obs|Fib|Tunnel).*' \
   > /dev/null 2>&1)
 
 # --- 5b. Chaos smoke ----------------------------------------------------------

@@ -105,9 +105,10 @@ void FromSocket::onQueued(const packet::Packet& p) {
       VINI_OBS_ROOT_DROP(trace_id, "non_tunnel");
       return;
     }
-    // The inner packet is shared and immutable; the graph runs on (and
-    // mutates) its own copy.
-    output(0, packet::Packet(*p->inner));
+    // Decapsulate: the graph runs on (and mutates) the tunnelled packet
+    // itself, taken out of the tunnel packet's box without a copy.
+    const packet::PacketBox inner = p->inner.take();
+    output(0, std::move(*inner));
     spanClose(context_, span);
   });
 }
@@ -152,7 +153,7 @@ void ToSocket::push(int, packet::Packet&& p) {
   const std::uint16_t dport = p.meta.encap_port != 0 ? p.meta.encap_port : local_port_;
   p.meta.slice_id = context_.slice_id;  // VNET attribution of tunnel traffic
   socket->sendEncapsulatedTo(dst, dport,
-                             std::make_shared<const packet::Packet>(std::move(p)));
+                             std::make_unique<packet::Packet>(std::move(p)));
 }
 
 // ---------------------------------------------------------------------------

@@ -306,12 +306,16 @@ void SpanTracker::foldShardLanes() {
   for (LaneState& state : lane_states_) state.ops.clear();
 }
 
-const std::vector<SpanRecord>& SpanTracker::records() const {
+void SpanTracker::requireFolded(const char* accessor) const {
   shard_.assertHeld();
   if (hasUnfoldedLaneOps()) {
-    throw std::logic_error(
-        "obs: SpanTracker::records() before Obs::foldShardLanes()");
+    throw std::logic_error(std::string("obs: SpanTracker::") + accessor +
+                           " before Obs::foldShardLanes()");
   }
+}
+
+const std::vector<SpanRecord>& SpanTracker::records() const {
+  requireFolded("records()");
   return records_;
 }
 

@@ -143,36 +143,38 @@ class SpanTracker {
 
   // -- Read side --------------------------------------------------------------
 
+  /// The counters below throw std::logic_error while lane buffers hold
+  /// unfolded ops, as records() does.
   std::uint64_t opened() const {
-    shard_.assertHeld();
+    requireFolded("opened()");
     return opened_;
   }
   std::uint64_t closedDelivered() const {
-    shard_.assertHeld();
+    requireFolded("closedDelivered()");
     return closed_delivered_;
   }
   std::uint64_t closedDropped() const {
-    shard_.assertHeld();
+    requireFolded("closedDropped()");
     return closed_dropped_;
   }
   std::uint64_t closed() const { return closedDelivered() + closedDropped(); }
   /// Spans opened but not yet closed (in-flight packets at end of run).
   std::uint64_t stillOpen() const { return opened() - closed(); }
   std::uint64_t rootsOpened() const {
-    shard_.assertHeld();
+    requireFolded("rootsOpened()");
     return roots_opened_;
   }
   std::uint64_t rootsClosed() const {
-    shard_.assertHeld();
+    requireFolded("rootsClosed()");
     return roots_closed_;
   }
   std::uint64_t rootsStillOpen() const {
-    shard_.assertHeld();
+    requireFolded("rootsStillOpen()");
     return open_roots_.size();
   }
   /// closeRoot() calls that found the root already closed.
   std::uint64_t lateRootCloses() const {
-    shard_.assertHeld();
+    requireFolded("lateRootCloses()");
     return late_root_closes_;
   }
 
@@ -183,7 +185,7 @@ class SpanTracker {
   /// Completed spans dropped once the cap was reached (counters above
   /// remain exact).
   std::uint64_t recordsLost() const {
-    shard_.assertHeld();
+    requireFolded("recordsLost()");
     return records_lost_;
   }
 
@@ -194,8 +196,8 @@ class SpanTracker {
   std::vector<std::uint64_t> traceIds() const;
 
   /// True while lane buffers (main pseudo-lane included) hold ops
-  /// foldShardLanes() has not replayed yet; records(), the trace
-  /// queries and the exports throw std::logic_error then.
+  /// foldShardLanes() has not replayed yet; records(), the counters,
+  /// the trace queries and the exports throw std::logic_error then.
   bool hasUnfoldedLaneOps() const;
 
   /// "trace_id,span_id,root,layer,node,link,t_open_ns,t_close_ns,dur_ns,
@@ -205,6 +207,11 @@ class SpanTracker {
   void clear();
 
  private:
+  /// Throws std::logic_error naming `accessor` while lane buffers hold
+  /// ops foldShardLanes() has not replayed: a count read then would
+  /// silently miss them.
+  void requireFolded(const char* accessor) const
+      VINI_ASSERT_CAPABILITY(shard_);
   void finish(SpanRecord rec, sim::Time t, SpanOutcome outcome,
               std::int16_t reason);
 

@@ -87,12 +87,16 @@ void Timeline::foldShardLanes() {
   for (auto& buf : lane_ops_) buf.clear();
 }
 
-const std::vector<TimelineEvent>& Timeline::events() const {
+void Timeline::requireFolded(const char* accessor) const {
   shard_.assertHeld();
   if (hasUnfoldedLaneOps()) {
-    throw std::logic_error(
-        "obs: Timeline::events() before Obs::foldShardLanes()");
+    throw std::logic_error(std::string("obs: Timeline::") + accessor +
+                           " before Obs::foldShardLanes()");
   }
+}
+
+const std::vector<TimelineEvent>& Timeline::events() const {
+  requireFolded("events()");
   return events_;
 }
 

@@ -84,13 +84,16 @@ class Timeline {
   }
   const std::string& trackName(std::int16_t id) const;
   const std::string& labelName(std::int16_t id) const;
+  /// Events dropped once the cap was reached.  Throws std::logic_error
+  /// while lane buffers hold unfolded events, as events() does.
   std::uint64_t eventsLost() const {
-    shard_.assertHeld();
+    requireFolded("eventsLost()");
     return events_lost_;
   }
 
   /// True while lane buffers hold events foldShardLanes() has not
-  /// replayed yet; events() and the exports throw std::logic_error then.
+  /// replayed yet; events(), eventsLost() and the exports throw
+  /// std::logic_error then.
   bool hasUnfoldedLaneOps() const;
 
   /// "track,label,t_ns,dur_ns" rows in record order.
@@ -99,6 +102,11 @@ class Timeline {
   void clear();
 
  private:
+  /// Throws std::logic_error naming `accessor` while lane buffers hold
+  /// events foldShardLanes() has not replayed: a count read then would
+  /// silently miss them.
+  void requireFolded(const char* accessor) const
+      VINI_ASSERT_CAPABILITY(shard_);
   /// Append to the shared tables: the one write path, serial and fold
   /// alike.
   void commit(const std::string& track, const std::string& label,

@@ -134,12 +134,16 @@ bool PacketTracer::wrapped() const {
   return total_ > capacity_;
 }
 
-std::vector<TraceRecord> PacketTracer::snapshot() const {
+void PacketTracer::requireFolded(const char* accessor) const {
   shard_.assertHeld();
   if (hasUnfoldedLaneOps()) {
-    throw std::logic_error(
-        "obs: PacketTracer::snapshot() before Obs::foldShardLanes()");
+    throw std::logic_error(std::string("obs: PacketTracer::") + accessor +
+                           " before Obs::foldShardLanes()");
   }
+}
+
+std::vector<TraceRecord> PacketTracer::snapshot() const {
+  requireFolded("snapshot()");
   // Once the ring wrapped, the oldest survivor sits in the slot the next
   // record would overwrite.
   const auto start = static_cast<std::ptrdiff_t>(

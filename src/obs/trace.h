@@ -95,15 +95,16 @@ class PacketTracer {
   // -- Read side ------------------------------------------------------------
 
   /// Total events recorded since construction (keeps counting after the
-  /// ring wraps).
+  /// ring wraps).  Throws std::logic_error while lane buffers hold
+  /// unfolded records, as eventCount() does.
   std::uint64_t totalRecorded() const {
-    shard_.assertHeld();
+    requireFolded("totalRecorded()");
     return total_;
   }
   /// Running per-kind totals — these survive ring overflow, which is
   /// what makes drop reconciliation exact on long runs.
   std::uint64_t eventCount(TraceEvent ev) const {
-    shard_.assertHeld();
+    requireFolded("eventCount()");
     return kind_totals_[static_cast<std::size_t>(ev)];
   }
   /// Number of records currently held (<= capacity).
@@ -124,7 +125,8 @@ class PacketTracer {
   // -- Export ---------------------------------------------------------------
 
   /// True while lane buffers hold records foldShardLanes() has not
-  /// merged yet; snapshot() and the exports throw std::logic_error then.
+  /// merged yet; snapshot(), the counters and the exports throw
+  /// std::logic_error then.
   bool hasUnfoldedLaneOps() const;
 
   /// "t_ns,event,node,link,src,dst,flow,seq,bytes" with names resolved.
@@ -150,6 +152,11 @@ class PacketTracer {
   static constexpr std::size_t kBinaryRecordSize = 41;
 
  private:
+  /// Throws std::logic_error naming `accessor` while lane buffers hold
+  /// records foldShardLanes() has not merged: a count read then would
+  /// silently miss them.
+  void requireFolded(const char* accessor) const
+      VINI_ASSERT_CAPABILITY(shard_);
   /// Append to the ring: the one write path, serial and fold alike.
   void commit(const TraceRecord& rec);
   std::int16_t intern(std::vector<std::string>& names,

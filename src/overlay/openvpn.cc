@@ -114,7 +114,7 @@ void OpenVpnServer::onDatagram(packet::Packet p) {
   ++ingress_packets_;
   // "The OpenVPN server removes the headers and forwards the original
   // packet to Click over a local Unix domain socket."  (Figure 2, step 2)
-  router_->injectIntoDataPlane(*p.inner);
+  router_->injectIntoDataPlane(std::move(*p.inner.take()));
 }
 
 void OpenVpnServer::EgressElement::push(int, packet::Packet&& p) {
@@ -134,7 +134,7 @@ void OpenVpnServer::sendToClient(const Session& session, packet::Packet p) {
     return;
   }
   socket->sendEncapsulatedTo(session.real_addr, session.real_port,
-                             std::make_shared<const packet::Packet>(std::move(p)),
+                             std::make_unique<packet::Packet>(std::move(p)),
                              packet::OpenVpnHeader::kWireBytes);
 }
 
@@ -329,7 +329,7 @@ void OpenVpnClient::onTunPacket(packet::Packet p) {
   // Rewrite nothing: the client sources traffic from its overlay address
   // (applications bind to it).  Encapsulate with OpenVPN framing.
   socket_->sendEncapsulatedTo(server_addr_, kOpenVpnPort,
-                              std::make_shared<const packet::Packet>(std::move(p)),
+                              std::make_unique<packet::Packet>(std::move(p)),
                               packet::OpenVpnHeader::kWireBytes);
 }
 
@@ -346,7 +346,7 @@ void OpenVpnClient::onDatagram(packet::Packet p) {
   }
   if (!p.inner || !tun_) return;
   ++received_;
-  tun_->inject(*p.inner);
+  tun_->inject(std::move(*p.inner.take()));
 }
 
 }  // namespace vini::overlay

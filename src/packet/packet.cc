@@ -1,8 +1,26 @@
 #include "packet/packet.h"
 
 #include <sstream>
+#include <utility>
 
 namespace vini::packet {
+
+InnerPacket::InnerPacket(PacketBox packet)
+    : box_(std::move(packet)), ip_bytes_(box_ ? box_->ipPacketBytes() : 0) {}
+
+InnerPacket::InnerPacket(const InnerPacket& other)
+    : box_(other.box_ ? std::make_unique<Packet>(*other.box_) : nullptr),
+      ip_bytes_(other.ip_bytes_) {}
+
+InnerPacket& InnerPacket::operator=(const InnerPacket& other) {
+  if (this != &other) *this = InnerPacket(other);
+  return *this;
+}
+
+PacketBox InnerPacket::take() {
+  ip_bytes_ = 0;
+  return std::move(box_);
+}
 
 Packet Packet::udp(IpAddress src, IpAddress dst, std::uint16_t sport,
                    std::uint16_t dport, std::size_t payload_bytes) {
@@ -75,45 +93,22 @@ Packet Packet::icmpError(IpAddress reporter, std::uint8_t type,
 }
 
 Packet Packet::encapsulateUdp(IpAddress src, IpAddress dst, std::uint16_t sport,
-                              std::uint16_t dport, PacketPtr inner,
+                              std::uint16_t dport, PacketBox inner,
                               std::size_t extra_bytes) {
   Packet p;
   p.ip.src = src;
   p.ip.dst = dst;
   p.ip.proto = IpProto::kUdp;
-  p.inner = std::move(inner);
+  p.inner = InnerPacket(std::move(inner));
   p.encap_extra_bytes = extra_bytes;
   if (p.inner) p.meta = p.inner->meta;  // measurement metadata rides along
   UdpHeader u;
   u.src_port = sport;
   u.dst_port = dport;
   u.length = static_cast<std::uint16_t>(UdpHeader::kWireBytes + extra_bytes +
-                                        (p.inner ? p.inner->ipPacketBytes() : 0));
+                                        p.inner.ipBytes());
   p.l4 = u;
   return p;
-}
-
-std::size_t Packet::l4HeaderBytes() const {
-  if (isUdp()) return UdpHeader::kWireBytes;
-  if (isTcp()) return TcpHeader::kWireBytes;
-  if (isIcmp()) return IcmpHeader::kWireBytes;
-  return 0;
-}
-
-std::size_t Packet::l4PayloadBytes() const {
-  std::size_t n = encap_extra_bytes;
-  if (inner) {
-    n += inner->ipPacketBytes();
-  } else if (app) {
-    n += app->sizeBytes();
-  } else {
-    n += payload_bytes;
-  }
-  return n;
-}
-
-std::size_t Packet::ipPacketBytes() const {
-  return Ipv4Header::kWireBytes + l4HeaderBytes() + l4PayloadBytes();
 }
 
 std::vector<std::uint8_t> Packet::serialize() const {

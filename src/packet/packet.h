@@ -5,14 +5,18 @@
 // control-plane protocols riding inside the overlay), or a nested inner
 // packet (tunnel encapsulation: the overlay's UDP tunnels and the OpenVPN
 // ingress wrap whole IP packets as UDP payload, exactly as in Figure 2 of
-// the paper).  Packets are cheap to copy; nested packets are shared and
-// immutable once encapsulated.
+// the paper).  A tunnelled packet is owned by the packet that carries it:
+// encapsulation moves it in, decapsulation moves the same box out, and it
+// is read-only in between (InnerPacket).  Copying an untunnelled packet is
+// cheap; copying a tunnel packet deep-copies the chain.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -50,10 +54,40 @@ struct PacketMeta {
 };
 
 class Packet;
-using PacketPtr = std::shared_ptr<const Packet>;
 /// The one owned box a packet rides in from the sending kernel across
 /// every wire hop to the receiving kernel (DESIGN.md §13).
 using PacketBox = std::unique_ptr<Packet>;
+
+/// The tunnelled packet inside an encapsulating one.  It owns its box:
+/// Packet::encapsulateUdp() moves a box in and take() hands the same box
+/// back at decapsulation, so a tunnel hop copies no packet.  While inside,
+/// the packet is read-only and its IP size is stored, so the outer
+/// packet's size never walks the tunnel chain and cannot go stale.
+/// Copying deep-copies the packet.
+class InnerPacket {
+ public:
+  InnerPacket() = default;
+  explicit InnerPacket(PacketBox packet);
+  InnerPacket(const InnerPacket& other);
+  InnerPacket& operator=(const InnerPacket& other);
+  InnerPacket(InnerPacket&& other) noexcept;
+  InnerPacket& operator=(InnerPacket&& other) noexcept;
+  ~InnerPacket();
+
+  explicit operator bool() const { return box_ != nullptr; }
+  const Packet* get() const { return box_.get(); }
+  const Packet* operator->() const { return box_.get(); }
+
+  /// IP size of the held packet; 0 when empty.
+  std::size_t ipBytes() const { return ip_bytes_; }
+
+  /// Decapsulate: hand the box back and leave this empty.
+  PacketBox take();
+
+ private:
+  PacketBox box_;
+  std::size_t ip_bytes_ = 0;
+};
 
 class Packet {
  public:
@@ -65,8 +99,8 @@ class Packet {
   std::size_t payload_bytes = 0;
   /// Structured payload (routing messages); contributes sizeBytes().
   std::shared_ptr<const AppPayload> app;
-  /// Encapsulated packet (tunnelling); contributes its full IP size.
-  PacketPtr inner;
+  /// Encapsulated packet (tunnelling); contributes its stored IP size.
+  InnerPacket inner;
   /// Extra encapsulation bytes between L4 and inner (e.g. OpenVPN header).
   std::size_t encap_extra_bytes = 0;
   PacketMeta meta;
@@ -90,9 +124,10 @@ class Packet {
   static Packet icmpError(IpAddress reporter, std::uint8_t type,
                           std::uint8_t code, const Packet& original);
 
-  /// Wrap `inner` in a UDP tunnel packet between two underlay endpoints.
+  /// Wrap `inner` in a UDP tunnel packet between two underlay endpoints;
+  /// the box moves into the tunnel packet (`inner.take()` returns it).
   static Packet encapsulateUdp(IpAddress src, IpAddress dst, std::uint16_t sport,
-                               std::uint16_t dport, PacketPtr inner,
+                               std::uint16_t dport, PacketBox inner,
                                std::size_t extra_bytes = 0);
 
   // -- Accessors -----------------------------------------------------------
@@ -109,13 +144,26 @@ class Packet {
   IcmpHeader* icmpHeader() { return std::get_if<IcmpHeader>(&l4); }
 
   /// Size of the transport header, if any.
-  std::size_t l4HeaderBytes() const;
+  std::size_t l4HeaderBytes() const {
+    // Indexed by L4's alternative: none, UDP, TCP, ICMP.
+    static constexpr std::size_t kBytes[] = {
+        0, UdpHeader::kWireBytes, TcpHeader::kWireBytes, IcmpHeader::kWireBytes};
+    static_assert(std::variant_size_v<L4> == std::size(kBytes));
+    return kBytes[l4.index()];
+  }
 
-  /// Payload size as seen by L4 (inner packet size, app size, or raw bytes).
-  std::size_t l4PayloadBytes() const;
+  /// Payload size as seen by L4 (inner packet size, app size, or raw
+  /// bytes).  O(1): a tunnelled packet's size is stored in `inner`.
+  std::size_t l4PayloadBytes() const {
+    if (inner) return encap_extra_bytes + inner.ipBytes();
+    if (app) return encap_extra_bytes + app->sizeBytes();
+    return encap_extra_bytes + payload_bytes;
+  }
 
   /// Total IP packet size: IP header + L4 header + payload.
-  std::size_t ipPacketBytes() const;
+  std::size_t ipPacketBytes() const {
+    return Ipv4Header::kWireBytes + l4HeaderBytes() + l4PayloadBytes();
+  }
 
   /// Bytes occupied on an Ethernet wire (adds framing, preamble, gap).
   /// This is what links use to compute serialization time.
@@ -134,5 +182,19 @@ class Packet {
   /// One-line human-readable summary ("10.1.1.2 > 10.1.2.3 udp 1430b").
   std::string summary() const;
 };
+
+// InnerPacket's moves and destructor run on every Packet move and
+// destruction, tunnelled or not; defined here, where Packet is complete,
+// so they inline.
+inline InnerPacket::InnerPacket(InnerPacket&& other) noexcept
+    : box_(std::move(other.box_)), ip_bytes_(std::exchange(other.ip_bytes_, 0)) {}
+
+inline InnerPacket& InnerPacket::operator=(InnerPacket&& other) noexcept {
+  box_ = std::move(other.box_);
+  ip_bytes_ = std::exchange(other.ip_bytes_, 0);
+  return *this;
+}
+
+inline InnerPacket::~InnerPacket() = default;
 
 }  // namespace vini::packet

@@ -64,7 +64,7 @@ void UdpSocket::sendTo(packet::IpAddress dst, std::uint16_t dport,
 }
 
 void UdpSocket::sendEncapsulatedTo(packet::IpAddress dst, std::uint16_t dport,
-                                   packet::PacketPtr inner,
+                                   packet::PacketBox inner,
                                    std::size_t extra_bytes) {
   stack_.sendPacket(packet::Packet::encapsulateUdp(
       stack_.address(), dst, port_, dport, std::move(inner), extra_bytes));

@@ -128,9 +128,10 @@ class UdpSocket {
   void sendTo(packet::IpAddress dst, std::uint16_t dport,
               std::size_t payload_bytes, packet::PacketMeta meta = {});
 
-  /// Send an encapsulated packet (tunnelling).
+  /// Send an encapsulated packet (tunnelling); the box moves into the
+  /// tunnel packet.
   void sendEncapsulatedTo(packet::IpAddress dst, std::uint16_t dport,
-                          packet::PacketPtr inner, std::size_t extra_bytes = 0);
+                          packet::PacketBox inner, std::size_t extra_bytes = 0);
 
   /// Send a structured application payload (routing protocol messages).
   void sendAppTo(packet::IpAddress dst, std::uint16_t dport,

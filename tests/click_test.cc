@@ -1,8 +1,10 @@
-// Click tests: FIB trie (with a property check against a reference
-// implementation), the element library, the config-language parser, and
-// NAPT translation.
+// Click tests: FIB (with property and differential checks against a
+// brute-force reference), the element library, the config-language
+// parser, and NAPT translation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <random>
 
 #include "click/elements.h"
@@ -79,7 +81,7 @@ TEST(Fib, DefaultRouteCatchesWhatNothingElseCovers) {
   EXPECT_EQ(hit->prefix, Prefix::defaultRoute());
   EXPECT_EQ(hit->next_hop, IpAddress(1, 1, 1, 1));
   EXPECT_EQ(hit->port, 9);
-  // 0.0.0.0 and 255.255.255.255 walk the two extreme trie edges.
+  // 0.0.0.0 and 255.255.255.255: the extreme keys of every table.
   EXPECT_EQ(fib.lookup(IpAddress(0u)), hit);
   EXPECT_EQ(fib.lookup(IpAddress(0xFFFFFFFFu)), hit);
 }
@@ -163,16 +165,153 @@ TEST(Fib, PropertyMatchesLinearReference) {
   }
 }
 
-TEST(Fib, ForEachVisitsAllEntries) {
+/// Trie preorder, defined without sorting by value: an ancestor comes
+/// before its descendants, and at the first bit where two prefixes part
+/// the 0 branch comes first.
+bool triePreorderBefore(const Prefix& a, const Prefix& b) {
+  if (a == b) return false;
+  if (a.covers(b)) return true;
+  if (b.covers(a)) return false;
+  const int bit = std::countl_zero(a.address().value() ^ b.address().value());
+  return ((a.address().value() >> (31 - bit)) & 1) == 0;
+}
+
+TEST(Fib, DifferentialAgainstBruteForceUnderChurn) {
+  // Seeded prefixes of every length 0-32 (/0 included), clustered around
+  // a few bases so they overlap and nest, under interleaved add, replace,
+  // remove and clear().  Every lookup is checked against a brute-force
+  // longest-prefix scan, and forEach order against the trie preorder.
+  std::mt19937 rng(19);
+  const std::uint32_t bases[] = {0x0A000000u, 0x0A010204u, 0xC6209A00u,
+                                 0x80000000u};
+  auto randomPrefix = [&] {
+    const std::uint32_t noise = static_cast<std::uint32_t>(rng()) >> (rng() % 32);
+    return Prefix(IpAddress(bases[rng() % 4] ^ noise),
+                  static_cast<int>(rng() % 33));
+  };
+  auto randomAddress = [&] {
+    const std::uint32_t noise = static_cast<std::uint32_t>(rng()) >> (rng() % 32);
+    return IpAddress(bases[rng() % 4] ^ noise);
+  };
+
   Fib fib;
-  fib.addRoute({Prefix::mustParse("10.0.0.0/8"), {}, 1});
-  fib.addRoute({Prefix::mustParse("192.168.0.0/16"), {}, 2});
-  fib.addRoute({Prefix::defaultRoute(), {}, 3});
-  int count = 0;
-  fib.forEach([&](const FibEntry&) { ++count; });
-  EXPECT_EQ(count, 3);
+  std::vector<FibEntry> reference;
+  std::vector<int> lengths_seen(33, 0);
+  auto findRef = [&](const Prefix& prefix) {
+    return std::find_if(reference.begin(), reference.end(),
+                        [&](const FibEntry& e) { return e.prefix == prefix; });
+  };
+  auto checkLookup = [&](IpAddress addr) {
+    const FibEntry* best = nullptr;
+    for (const auto& r : reference) {
+      if (r.prefix.contains(addr) &&
+          (!best || r.prefix.length() > best->prefix.length())) {
+        best = &r;
+      }
+    }
+    const FibEntry* got = fib.lookup(addr);
+    if (!best) {
+      ASSERT_EQ(got, nullptr) << addr;
+      return;
+    }
+    ASSERT_NE(got, nullptr) << addr;
+    EXPECT_EQ(got->prefix, best->prefix) << addr;
+    EXPECT_EQ(got->next_hop, best->next_hop) << addr;
+    EXPECT_EQ(got->port, best->port) << addr;
+  };
+  auto checkForEach = [&] {
+    std::vector<FibEntry> expected = reference;
+    std::sort(expected.begin(), expected.end(),
+              [](const FibEntry& a, const FibEntry& b) {
+                return triePreorderBefore(a.prefix, b.prefix);
+              });
+    std::vector<FibEntry> visited;
+    fib.forEach([&](const FibEntry& e) { visited.push_back(e); });
+    ASSERT_EQ(visited.size(), expected.size());
+    ASSERT_EQ(fib.size(), expected.size());
+    for (std::size_t i = 0; i < visited.size(); ++i) {
+      EXPECT_EQ(visited[i].prefix, expected[i].prefix) << i;
+      EXPECT_EQ(visited[i].port, expected[i].port) << i;
+    }
+  };
+
+  int replaced = 0;
+  int removed = 0;
+  int missed_removes = 0;
+  for (int round = 0; round < 8; ++round) {
+    for (int op = 0; op < 600; ++op) {
+      const unsigned kind = rng() % 10;
+      if (kind < 4) {  // add (or replace, when the prefix is present)
+        FibEntry entry;
+        entry.prefix = randomPrefix();
+        entry.next_hop = IpAddress(static_cast<std::uint32_t>(rng()));
+        entry.port = static_cast<int>(rng() % 16);
+        ++lengths_seen[static_cast<std::size_t>(entry.prefix.length())];
+        if (auto it = findRef(entry.prefix); it != reference.end()) {
+          *it = entry;
+          ++replaced;
+        } else {
+          reference.push_back(entry);
+        }
+        fib.addRoute(entry);
+      } else if (kind < 5 && !reference.empty()) {  // replace an existing one
+        FibEntry entry = reference[rng() % reference.size()];
+        entry.port = static_cast<int>(rng() % 16);
+        *findRef(entry.prefix) = entry;
+        fib.addRoute(entry);
+        ++replaced;
+      } else if (kind < 7) {  // remove: an installed prefix, or a random one
+        const Prefix prefix = (!reference.empty() && rng() % 2 == 0)
+                                  ? reference[rng() % reference.size()].prefix
+                                  : randomPrefix();
+        const auto it = findRef(prefix);
+        const bool present = it != reference.end();
+        if (present) {
+          reference.erase(it);
+          ++removed;
+        } else {
+          ++missed_removes;
+        }
+        EXPECT_EQ(fib.removeRoute(prefix), present) << prefix;
+      } else {
+        checkLookup(randomAddress());
+        checkLookup(IpAddress(static_cast<std::uint32_t>(rng())));
+      }
+      ASSERT_EQ(fib.size(), reference.size());
+    }
+    checkForEach();
+    if (round == 2 || round == 5) {
+      fib.clear();
+      reference.clear();
+      EXPECT_EQ(fib.lookup(randomAddress()), nullptr);
+      checkForEach();
+    }
+  }
+  // The seed exercised what the test claims to.
+  for (int len = 0; len <= 32; ++len) EXPECT_GT(lengths_seen[len], 0) << len;
+  EXPECT_GT(replaced, 50);
+  EXPECT_GT(removed, 50);
+  EXPECT_GT(missed_removes, 50);
+}
+
+TEST(Fib, ForEachVisitsAllEntriesInTriePreorder) {
+  Fib fib;
+  for (const char* p : {"10.1.2.0/30", "10.0.0.0/8", "10.1.2.1/32",
+                        "0.0.0.0/0", "10.1.2.0/32", "192.168.0.0/16",
+                        "10.1.0.0/16", "128.0.0.0/1"}) {
+    fib.addRoute({Prefix::mustParse(p), {}, 0});
+  }
+  std::vector<std::string> order;
+  fib.forEach([&](const FibEntry& e) { order.push_back(e.prefix.str()); });
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/30",
+                       "10.1.2.0/32", "10.1.2.1/32", "128.0.0.0/1",
+                       "192.168.0.0/16"}));
   fib.clear();
   EXPECT_EQ(fib.size(), 0u);
+  int count = 0;
+  fib.forEach([&](const FibEntry&) { ++count; });
+  EXPECT_EQ(count, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Engine telemetry tests: the engine's per-node event attribution and
 // the event-loop profiler must be byte-invisible to the simulation, on
-// the classic and the sharded engine alike.
+// the classic and the sharded engine alike; the obs counters of a
+// sharded run answer only once its lane buffers are folded.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,6 +11,7 @@
 #include <utility>
 
 #include "app/iperf.h"
+#include "app/ping.h"
 #include "obs/obs.h"
 #include "sim/event_queue.h"
 #include "topo/worlds.h"
@@ -117,6 +119,64 @@ TEST(EventQueueAttribution, CountsPerNodeAndCrossNode) {
   EXPECT_EQ(queue.sameNodeScheduledCount(), 1u);
   EXPECT_EQ(queue.crossNodeScheduledCount(), 1u);
   EXPECT_EQ(queue.minCrossNodeDelay(), 5);
+}
+
+// ---------------------------------------------------------------------------
+// Obs counters on a sharded world answer only after the fold
+
+// Records made while lanes are armed reach the counters only at
+// Obs::foldShardLanes().  A count read before that would silently miss
+// them, so the counters throw, as the record accessors and exports do.
+TEST(ObsCounterFoldGuard, CountersThrowUntilLanesAreFolded) {
+  obs::ScopedObs scope;
+  topo::WorldOptions options;
+  options.seed = 5;
+  options.threads = 2;
+  auto world = topo::makeDeterWorld(options);
+  ASSERT_TRUE(world->runUntilConverged(120 * sim::kSecond));
+  app::Pinger::Options popt;
+  popt.count = 4;
+  popt.flood = false;
+  popt.interval = sim::kSecond / 4;
+  popt.source = world->tapOf("Src");
+  app::Pinger pinger(world->stack("Src"), world->tapOf("Sink"), popt);
+  pinger.start();
+  world->queue.runUntil(world->queue.now() + 3 * sim::kSecond);
+
+  const obs::PacketTracer& tracer = scope.tracer();
+  const obs::SpanTracker& spans = scope.spans();
+  const obs::Timeline& timeline = scope.timeline();
+  ASSERT_TRUE(tracer.hasUnfoldedLaneOps());
+  ASSERT_TRUE(spans.hasUnfoldedLaneOps());
+  ASSERT_TRUE(timeline.hasUnfoldedLaneOps());
+  EXPECT_THROW(tracer.totalRecorded(), std::logic_error);
+  EXPECT_THROW(tracer.eventCount(obs::TraceEvent::kDeliver), std::logic_error);
+  EXPECT_THROW(spans.opened(), std::logic_error);
+  EXPECT_THROW(spans.closed(), std::logic_error);
+  EXPECT_THROW(spans.closedDelivered(), std::logic_error);
+  EXPECT_THROW(spans.closedDropped(), std::logic_error);
+  EXPECT_THROW(spans.stillOpen(), std::logic_error);
+  EXPECT_THROW(spans.rootsOpened(), std::logic_error);
+  EXPECT_THROW(spans.rootsClosed(), std::logic_error);
+  EXPECT_THROW(spans.rootsStillOpen(), std::logic_error);
+  EXPECT_THROW(spans.lateRootCloses(), std::logic_error);
+  EXPECT_THROW(spans.recordsLost(), std::logic_error);
+  EXPECT_THROW(timeline.eventsLost(), std::logic_error);
+
+  scope.obs().foldShardLanes();
+  std::uint64_t by_kind = 0;
+  for (std::size_t k = 0; k < obs::kTraceEventKinds; ++k) {
+    by_kind += tracer.eventCount(static_cast<obs::TraceEvent>(k));
+  }
+  EXPECT_GT(tracer.totalRecorded(), 0u);
+  EXPECT_EQ(by_kind, tracer.totalRecorded());
+  EXPECT_GT(tracer.eventCount(obs::TraceEvent::kDeliver), 0u);
+  EXPECT_GT(spans.closedDelivered(), 0u);
+  EXPECT_EQ(spans.opened(), spans.closed() + spans.stillOpen());
+  EXPECT_GT(spans.rootsClosed(), 0u);
+  EXPECT_EQ(spans.rootsOpened(), spans.rootsClosed() + spans.rootsStillOpen());
+  EXPECT_EQ(spans.recordsLost(), 0u);
+  EXPECT_EQ(timeline.eventsLost(), 0u);
 }
 
 }  // namespace

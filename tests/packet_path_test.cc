@@ -84,11 +84,13 @@ TEST(AllocationBudget, DeterTcpWindowAllocationsPerWirePacket) {
   // The Table 2 IIAS row: 20 TCP streams Src -> Fwdr -> Sink through
   // user-space Click.  A data segment and its ACK each cross two wires.
   // Per wire packet the path allocates one outer box (the sending
-  // stack's) and one shared inner packet (the Click hop's ToSocket);
-  // the TCP endpoints' boxes add 0.5.  The rest is container growth:
-  // the socket buffer's and the Click job queue's std::deque chunks,
-  // about 0.6.  Wire events, NIC ring and channel queue entries, Click
-  // jobs and TCP demux allocate nothing per packet.
+  // stack's) and one owned inner box (the Click hop's ToSocket moves the
+  // packet it forwards into it; FromSocket takes the same box back out
+  // at the next hop, so decapsulation allocates and copies nothing); the
+  // TCP endpoints' boxes add 0.5.  The rest is container growth: the
+  // socket buffer's and the Click job queue's std::deque chunks, about
+  // 0.6.  Wire events, NIC ring and channel queue entries, Click jobs
+  // and TCP demux allocate nothing per packet.
   topo::WorldOptions options;
   options.seed = 1000;
   auto world = topo::makeDeterWorld(options);
@@ -111,6 +113,8 @@ TEST(AllocationBudget, DeterTcpWindowAllocationsPerWirePacket) {
   ASSERT_GT(wire, 10000u);  // the window saturates the chain
   const double per_packet =
       static_cast<double>(allocs) / static_cast<double>(wire);
+  RecordProperty("allocations", std::to_string(allocs));
+  RecordProperty("wire_packets", std::to_string(wire));
   RecordProperty("allocations_per_wire_packet", std::to_string(per_packet));
   // Measured 3.23 (171,152 allocations for 53,025 wire packets, GCC 12).
   EXPECT_LT(per_packet, 3.4) << allocs << " allocations for " << wire
@@ -124,8 +128,8 @@ TEST(AllocationBudget, FloodShardedWindowAllocationsPerWirePacket) {
   // cross-lane events over at the barrier by slot, so the engine adds
   // no allocation per event.  Every allocation left is the packet
   // path's: the sending stack's box (iperf's sends and each Click
-  // ToSocket hop), the shared inner packet ToSocket builds, UDP
-  // delivery and Click job-queue growth.
+  // ToSocket hop), the owned inner box ToSocket moves the forwarded
+  // packet into, UDP delivery and Click job-queue growth.
   topo::WorldOptions options;
   options.seed = 4711;
   options.contention = 0.0;
@@ -164,8 +168,10 @@ TEST(AllocationBudget, FloodShardedWindowAllocationsPerWirePacket) {
   ASSERT_GT(wire, 10000u);
   const double per_packet =
       static_cast<double>(allocs) / static_cast<double>(wire);
+  RecordProperty("allocations", std::to_string(allocs));
+  RecordProperty("wire_packets", std::to_string(wire));
   RecordProperty("allocations_per_wire_packet", std::to_string(per_packet));
-  // Measured 4.32 (84,683 allocations for 19,610 wire packets, GCC 12);
+  // Measured 4.32 (84,686 allocations for 19,610 wire packets, GCC 12);
   // a staged-id hash node per handed-over event read 5.49.
   EXPECT_LT(per_packet, 4.5) << allocs << " allocations for " << wire
                               << " wire packets";

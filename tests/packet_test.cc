@@ -2,7 +2,9 @@
 // and the Packet value type (including tunnel encapsulation).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
+#include <utility>
 
 #include "packet/checksum.h"
 #include "packet/headers.h"
@@ -219,25 +221,103 @@ TEST(Packet, UdpSizes) {
 }
 
 TEST(Packet, EncapsulationAccountsInnerSize) {
-  auto inner = std::make_shared<const Packet>(
+  auto inner = std::make_unique<Packet>(
       Packet::udp(IpAddress(10, 1, 0, 2), IpAddress(10, 1, 1, 2), 1, 2, 100));
+  const std::size_t inner_bytes = inner->ipPacketBytes();
   const Packet outer = Packet::encapsulateUdp(
       IpAddress(198, 32, 154, 10), IpAddress(198, 32, 154, 11), 33001, 33001,
-      inner);
-  EXPECT_EQ(outer.l4PayloadBytes(), inner->ipPacketBytes());
+      std::move(inner));
+  EXPECT_EQ(outer.inner.ipBytes(), inner_bytes);
+  EXPECT_EQ(outer.l4PayloadBytes(), inner_bytes);
   EXPECT_EQ(outer.ipPacketBytes(), 28u + 128u);
 }
 
 TEST(Packet, NestedEncapsulationAddsEachLayer) {
-  auto inner = std::make_shared<const Packet>(
+  auto inner = std::make_unique<Packet>(
       Packet::udp(IpAddress(10, 1, 0, 2), IpAddress(10, 1, 1, 2), 1, 2, 100));
-  auto mid = std::make_shared<const Packet>(Packet::encapsulateUdp(
-      IpAddress(1, 1, 1, 1), IpAddress(2, 2, 2, 2), 10, 11, inner,
+  auto mid = std::make_unique<Packet>(Packet::encapsulateUdp(
+      IpAddress(1, 1, 1, 1), IpAddress(2, 2, 2, 2), 10, 11, std::move(inner),
       OpenVpnHeader::kWireBytes));
-  const Packet outer = Packet::encapsulateUdp(IpAddress(3, 3, 3, 3),
-                                              IpAddress(4, 4, 4, 4), 20, 21, mid);
+  const Packet outer = Packet::encapsulateUdp(
+      IpAddress(3, 3, 3, 3), IpAddress(4, 4, 4, 4), 20, 21, std::move(mid));
   EXPECT_EQ(outer.ipPacketBytes(),
             28u + (28u + OpenVpnHeader::kWireBytes + (28u + 100u)));
+}
+
+/// A three-deep tunnel chain: a TCP segment inside an OpenVPN-framed UDP
+/// tunnel inside a plain UDP tunnel.
+Packet threeLevelTunnel() {
+  TcpHeader h;
+  h.src_port = 5001;
+  h.dst_port = 40000;
+  auto tcp = std::make_unique<Packet>(
+      Packet::tcp(IpAddress(10, 1, 0, 2), IpAddress(10, 1, 1, 2), h, 1448));
+  auto vpn = std::make_unique<Packet>(Packet::encapsulateUdp(
+      IpAddress(10, 2, 0, 1), IpAddress(10, 2, 0, 2), 1194, 1194,
+      std::move(tcp), OpenVpnHeader::kWireBytes));
+  return Packet::encapsulateUdp(IpAddress(198, 32, 154, 10),
+                                IpAddress(198, 32, 154, 11), 33001, 33001,
+                                std::move(vpn));
+}
+
+TEST(Packet, TunnelSizesMatchTheWireAtEveryLevel) {
+  const Packet outer = threeLevelTunnel();
+  int levels = 0;
+  for (const Packet* p = &outer; p != nullptr; p = p->inner.get(), ++levels) {
+    SCOPED_TRACE(levels);
+    EXPECT_EQ(p->ipPacketBytes(), p->serialize().size());
+    if (const UdpHeader* udp = p->udpHeader()) {
+      EXPECT_EQ(udp->length, p->ipPacketBytes() - Ipv4Header::kWireBytes);
+    }
+    if (p->inner) {
+      EXPECT_EQ(p->inner.ipBytes(), p->inner->serialize().size());
+    }
+  }
+  EXPECT_EQ(levels, 3);
+}
+
+TEST(Packet, CopiedTunnelPacketIsIndependent) {
+  Packet original = threeLevelTunnel();
+  const Packet copy = original;
+  ASSERT_TRUE(copy.inner);
+  EXPECT_NE(copy.inner.get(), original.inner.get());
+  EXPECT_NE(copy.inner->inner.get(), original.inner->inner.get());
+  EXPECT_EQ(copy.serialize(), original.serialize());
+  EXPECT_EQ(copy.summary(), original.summary());
+
+  // Decapsulating (and then changing) the original leaves the copy whole.
+  const std::size_t bytes = copy.ipPacketBytes();
+  PacketBox vpn = original.inner.take();
+  PacketBox tcp = vpn->inner.take();
+  tcp->payload_bytes = 1;
+  EXPECT_FALSE(original.inner);
+  EXPECT_EQ(original.inner.ipBytes(), 0u);
+  EXPECT_EQ(copy.ipPacketBytes(), bytes);
+  EXPECT_EQ(copy.inner->inner->payload_bytes, 1448u);
+
+  // Copy assignment replaces the chain with a deep copy too.
+  Packet assigned = Packet::udp(IpAddress(1, 1, 1, 1), IpAddress(2, 2, 2, 2),
+                                1, 2, 10);
+  assigned = copy;
+  EXPECT_NE(assigned.inner.get(), copy.inner.get());
+  EXPECT_EQ(assigned.serialize(), copy.serialize());
+}
+
+TEST(Packet, DecapsulationHandsBackTheSameBox) {
+  auto inner = std::make_unique<Packet>(
+      Packet::udp(IpAddress(10, 1, 0, 2), IpAddress(10, 1, 1, 2), 1, 2, 100));
+  const Packet* const address = inner.get();
+  Packet outer = Packet::encapsulateUdp(IpAddress(1, 1, 1, 1),
+                                        IpAddress(2, 2, 2, 2), 10, 11,
+                                        std::move(inner));
+  EXPECT_EQ(outer.inner.get(), address);
+  // Moving the tunnel packet (socket buffers, wire boxes) moves the box.
+  Packet moved = std::move(outer);
+  EXPECT_EQ(moved.inner.get(), address);
+  const PacketBox back = moved.inner.take();
+  EXPECT_EQ(back.get(), address);
+  EXPECT_FALSE(moved.inner);
+  EXPECT_EQ(back->payload_bytes, 100u);
 }
 
 TEST(Packet, MetaRidesAlongEncapsulation) {
@@ -247,7 +327,7 @@ TEST(Packet, MetaRidesAlongEncapsulation) {
   inner.meta.app_send_time = 7;
   const Packet outer = Packet::encapsulateUdp(
       IpAddress(1, 1, 1, 1), IpAddress(2, 2, 2, 2), 10, 11,
-      std::make_shared<const Packet>(std::move(inner)));
+      std::make_unique<Packet>(std::move(inner)));
   EXPECT_EQ(outer.meta.app_seq, 42u);
   EXPECT_EQ(outer.meta.app_send_time, 7);
 }
@@ -320,10 +400,11 @@ TEST(Packet, SerializeParseRoundTripTcpRandomized) {
 }
 
 TEST(Packet, SerializedTunnelParsesToOuter) {
-  auto inner = std::make_shared<const Packet>(
-      Packet::udp(IpAddress(10, 1, 0, 2), IpAddress(10, 1, 1, 2), 1, 2, 100));
   const Packet outer = Packet::encapsulateUdp(
-      IpAddress(1, 1, 1, 1), IpAddress(2, 2, 2, 2), 10, 11, inner);
+      IpAddress(1, 1, 1, 1), IpAddress(2, 2, 2, 2), 10, 11,
+      std::make_unique<Packet>(Packet::udp(IpAddress(10, 1, 0, 2),
+                                           IpAddress(10, 1, 1, 2), 1, 2, 100)));
+  const Packet* inner = outer.inner.get();
   auto parsed = Packet::parse(outer.serialize());
   ASSERT_TRUE(parsed.has_value());
   // The outer parses as a UDP datagram whose payload is the inner packet.

@@ -150,6 +150,25 @@ void BM_TunnelEncapsulate(benchmark::State& state) {
 }
 BENCHMARK(BM_TunnelEncapsulate);
 
+void BM_PacketBoxChurn(benchmark::State& state) {
+  // A burst of packet boxes allocated, then freed: a burst up to the
+  // per-thread cache's capacity recycles its blocks without touching
+  // the global heap.
+  const auto burst = static_cast<std::size_t>(state.range(0));
+  std::vector<vini::packet::PacketBox> boxes;
+  boxes.reserve(burst);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < burst; ++i) {
+      boxes.push_back(std::make_unique<Packet>(Packet::udp(
+          IpAddress(10, 1, 0, 2), IpAddress(10, 1, 1, 2), 1, 2, 1430)));
+    }
+    benchmark::DoNotOptimize(boxes.back().get());
+    boxes.clear();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(burst));
+}
+BENCHMARK(BM_PacketBoxChurn)->Arg(8)->Arg(64)->Arg(512);
+
 void BM_RibChurn(benchmark::State& state) {
   using vini::xorp::Rib;
   using vini::xorp::RibRoute;

@@ -13,7 +13,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -140,10 +139,10 @@ class LocalDemux final : public Element {
   void push(int input_port, packet::Packet&& p) override;
 
   void addLocalAddress(packet::IpAddress addr) { local_.insert(addr); }
-  bool isLocal(packet::IpAddress addr) const { return local_.count(addr) != 0; }
+  bool isLocal(packet::IpAddress addr) const { return local_.contains(addr); }
 
  private:
-  std::set<packet::IpAddress> local_;
+  packet::AddressSet local_;
 };
 
 /// Decrements the IP TTL; expired packets go to output 1 if connected,
@@ -299,11 +298,11 @@ class DropFilter final : public Element {
   void block(packet::IpAddress addr) { blocked_.insert(addr); }
   void unblock(packet::IpAddress addr) { blocked_.erase(addr); }
   void clear() { blocked_.clear(); }
-  bool isBlocked(packet::IpAddress addr) const { return blocked_.count(addr) != 0; }
+  bool isBlocked(packet::IpAddress addr) const { return blocked_.contains(addr); }
   std::uint64_t dropped() const { return dropped_; }
 
  private:
-  std::set<packet::IpAddress> blocked_;
+  packet::AddressSet blocked_;
   std::uint64_t dropped_ = 0;
 };
 

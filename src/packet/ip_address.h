@@ -6,12 +6,14 @@
 // on Prefix (address + mask length) with longest-prefix-match semantics.
 #pragma once
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <vector>
 
 namespace vini::packet {
 
@@ -80,6 +82,26 @@ class Prefix {
 };
 
 std::ostream& operator<<(std::ostream& os, const Prefix& p);
+
+/// A set of a few addresses (a host's or a router's own, the tunnel
+/// endpoints a filter blocks), looked up per packet.  A flat vector
+/// searched linearly beats a tree at this size.  Nothing may depend on
+/// the order the addresses are kept in, so there is no iteration.
+class AddressSet {
+ public:
+  /// Add `addr`; adding it again changes nothing.
+  void insert(IpAddress addr) {
+    if (!contains(addr)) addrs_.push_back(addr);
+  }
+  void erase(IpAddress addr) { std::erase(addrs_, addr); }
+  void clear() { addrs_.clear(); }
+  bool contains(IpAddress addr) const {
+    return std::find(addrs_.begin(), addrs_.end(), addr) != addrs_.end();
+  }
+
+ private:
+  std::vector<IpAddress> addrs_;
+};
 
 }  // namespace vini::packet
 

@@ -181,7 +181,28 @@ class Packet {
 
   /// One-line human-readable summary ("10.1.1.2 > 10.1.2.3 udp 1430b").
   std::string summary() const;
+
+  // -- Allocation ------------------------------------------------------------
+
+  /// Packet boxes recycle through a per-thread cache of freed blocks
+  /// (packet_cache.cc, DESIGN.md §13), so a forwarding hop that frees
+  /// one box and allocates the next calls neither malloc nor free.
+  static void* operator new(std::size_t size);
+  static void operator delete(void* block, std::size_t size) noexcept;
 };
+
+/// Most freed packet blocks one thread keeps; a block freed past it goes
+/// back to the global heap.  512 blocks is about 80 KiB per thread.
+inline constexpr std::size_t kPacketCacheCapacity = 512;
+
+/// Blocks the calling thread's packet cache holds right now.
+std::size_t packetCacheSize();
+
+/// Return every block the calling thread's packet cache holds to the
+/// global heap.  A thread's cache is trimmed when the thread exits; call
+/// this before counting live heap allocations, so cached blocks cannot
+/// hide a leaked box.
+void trimPacketCache();
 
 // InnerPacket's moves and destructor run on every Packet move and
 // destruction, tunnelled or not; defined here, where Packet is complete,

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
 #include <utility>
 
@@ -445,14 +444,7 @@ void EventQueue::runUntil(Time deadline) {
 void EventQueue::run() {
   shard_.assertHeld();
   if (shard_rt_ != nullptr) {
-    // Drain in lookahead-sized chunks so every window still spans the
-    // full conservative horizon.
-    const Duration w = shard_rt_->lookahead();
-    constexpr Time kMax = std::numeric_limits<Time>::max();
-    Key next;
-    while (shard_rt_->earliest(next)) {
-      shard_rt_->runUntil(next.when > kMax - w ? kMax : next.when + w);
-    }
+    shard_rt_->run();
     return;
   }
   while (runNext(global_)) {

@@ -154,7 +154,8 @@ class EventQueue {
   /// `deadline` if it was reached, else at the last event executed.
   void runUntil(Time deadline);
 
-  /// Run until the queue drains completely.
+  /// Run until the queue drains completely.  Time is left at the last
+  /// event executed.
   void run();
 
   // -- Sharded execution ------------------------------------------------------

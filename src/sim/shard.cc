@@ -149,7 +149,7 @@ bool ShardRuntime::step() {
   return true;
 }
 
-void ShardRuntime::runUntil(Time deadline) {
+void ShardRuntime::drain(Time deadline) {
   EventQueue& q = queue_;
   q.shard_.assertHeld();
   Key next;
@@ -171,9 +171,28 @@ void ShardRuntime::runUntil(Time deadline) {
       roundAt(next.when, deadline);
     }
   }
+}
+
+void ShardRuntime::runUntil(Time deadline) {
+  drain(deadline);
+  EventQueue& q = queue_;
   if (q.now_ < deadline) {
     if (q.advance_) q.advance_(q.now_, deadline);
     q.now_ = deadline;
+  }
+}
+
+void ShardRuntime::run() {
+  drain(kMaxTime);
+  // Rounds move now() only to their anchors.  A lane's local clock
+  // stops at the last event it ran, and a serial step moves now() to its
+  // own event, so the latest of them is the last executed event.
+  EventQueue& q = queue_;
+  Time last = q.now_;
+  for (const Lane& lane : lanes_) last = std::max(last, lane.local_now);
+  if (q.now_ < last) {
+    if (q.advance_) q.advance_(q.now_, last);
+    q.now_ = last;
   }
 }
 

@@ -75,7 +75,6 @@ class ShardRuntime {
   void finalize(Duration lookahead);
 
   std::size_t laneCount() const { return lanes_.size(); }
-  Duration lookahead() const { return lookahead_; }
   /// See EventQueue::shardTally().
   EventQueue::ShardTally tally() const { return tally_; }
 
@@ -124,7 +123,14 @@ class ShardRuntime {
   };
 
   // -- Main-thread round machinery -------------------------------------------
+  /// Run rounds and serial steps while the earliest key is at or before
+  /// `deadline`; no window reaches past it.  now() is left at the last
+  /// round's anchor or serial step.
+  void drain(Time deadline);
   void runUntil(Time deadline);
+  /// Drain every Store with unclamped windows and leave now() at the
+  /// last executed event, as the classic run() does.
+  void run();
   /// Execute the single earliest event on the main thread.
   bool step();
   /// The Store holding the earliest live key (copied to `out`), or null

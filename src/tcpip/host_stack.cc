@@ -199,7 +199,7 @@ Device* HostStack::deviceByName(const std::string& name) {
 }
 
 bool HostStack::isLocalAddress(packet::IpAddress addr) const {
-  return local_addrs_.count(addr) != 0;
+  return local_addrs_.contains(addr);
 }
 
 UdpSocket& HostStack::openUdp(std::uint16_t port) {

@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -340,7 +339,7 @@ class HostStack {
   RoutingTable rt_;
   std::unique_ptr<UnderlayDevice> underlay_;
   std::vector<std::unique_ptr<TunDevice>> tun_devices_;
-  std::set<packet::IpAddress> local_addrs_;
+  packet::AddressSet local_addrs_;
   std::unordered_map<std::uint16_t, std::unique_ptr<UdpSocket>> udp_sockets_;
   std::unordered_map<std::uint16_t, std::function<void(packet::Packet)>> icmp_handlers_;
   std::map<std::pair<std::uint8_t, std::uint16_t>,

@@ -400,6 +400,24 @@ TEST(LocalDemuxElement, SplitsControlLocalTransit) {
   EXPECT_EQ(transit.packets.size(), 1u);
 }
 
+TEST(LocalDemuxElement, LocalAddressesAddOnce) {
+  LocalDemux demux;
+  Capture local, transit;
+  demux.connectOutput(1, local, 0);
+  demux.connectOutput(2, transit, 0);
+  demux.addLocalAddress(IpAddress(10, 1, 0, 2));
+  demux.addLocalAddress(IpAddress(10, 1, 0, 6));
+  demux.addLocalAddress(IpAddress(10, 1, 0, 2));
+  EXPECT_TRUE(demux.isLocal(IpAddress(10, 1, 0, 2)));
+  EXPECT_TRUE(demux.isLocal(IpAddress(10, 1, 0, 6)));
+  EXPECT_FALSE(demux.isLocal(IpAddress(10, 1, 0, 3)));
+  demux.push(0, udpTo(IpAddress(10, 1, 0, 2)));
+  demux.push(0, udpTo(IpAddress(10, 1, 0, 6)));
+  demux.push(0, udpTo(IpAddress(10, 1, 0, 3)));
+  EXPECT_EQ(local.packets.size(), 2u);
+  EXPECT_EQ(transit.packets.size(), 1u);
+}
+
 TEST(DecIpTtlElement, DecrementsAndDropsExpired) {
   DecIpTtl ttl;
   Capture out;
@@ -436,6 +454,14 @@ TEST(DropFilterElement, BlocksByEncapDestination) {
   filter.unblock(peer);
   filter.push(0, Packet(p));
   EXPECT_EQ(out.packets.size(), 2u);
+
+  filter.block(peer);
+  filter.block(peer);
+  filter.unblock(peer);  // one unblock undoes any number of blocks
+  EXPECT_FALSE(filter.isBlocked(peer));
+  filter.block(peer);
+  filter.clear();
+  EXPECT_FALSE(filter.isBlocked(peer));
 }
 
 TEST(DropFilterElement, FallsBackToIpDestination) {

@@ -1,10 +1,15 @@
 // Unit and property tests for addresses, prefixes, checksums, headers,
-// and the Packet value type (including tunnel encapsulation).
+// the Packet value type (including tunnel encapsulation) and the
+// per-thread packet-box cache.
 #include <gtest/gtest.h>
+#include <sanitizer/asan_interface.h>
 
+#include <cstdint>
 #include <memory>
 #include <random>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "packet/checksum.h"
 #include "packet/headers.h"
@@ -34,6 +39,25 @@ TEST(IpAddress, ParseRejectsMalformed) {
 TEST(IpAddress, MustParseThrows) {
   EXPECT_THROW(IpAddress::mustParse("nope"), std::invalid_argument);
   EXPECT_EQ(IpAddress::mustParse("1.2.3.4").value(), 0x01020304u);
+}
+
+TEST(AddressSet, InsertOnceEraseAndClear) {
+  AddressSet set;
+  const IpAddress a(10, 0, 0, 1);
+  const IpAddress b(10, 0, 0, 2);
+  EXPECT_FALSE(set.contains(a));
+  set.insert(a);
+  set.insert(b);
+  set.insert(a);
+  EXPECT_TRUE(set.contains(a));
+  EXPECT_TRUE(set.contains(b));
+  set.erase(a);  // a was held once, however often it was inserted
+  EXPECT_FALSE(set.contains(a));
+  EXPECT_TRUE(set.contains(b));
+  set.erase(a);
+  EXPECT_TRUE(set.contains(b));
+  set.clear();
+  EXPECT_FALSE(set.contains(b));
 }
 
 TEST(IpAddress, Ordering) {
@@ -484,6 +508,89 @@ TEST(PacketFuzz, BitFlippedValidPacketsParseOrFailCleanly) {
   // The Internet checksum catches every single-bit header error.
   EXPECT_EQ(header_flips_caught, header_flips);
 }
+
+// ---------------------------------------------------------------------------
+// The per-thread packet-box cache
+
+PacketBox udpBox() {
+  return std::make_unique<Packet>(
+      Packet::udp(IpAddress(10, 0, 0, 1), IpAddress(10, 0, 0, 2), 1, 2, 100));
+}
+
+std::uintptr_t addressOf(const Packet* p) {
+  return reinterpret_cast<std::uintptr_t>(p);
+}
+
+TEST(PacketBoxCache, NeverHoldsMoreThanItsCapacity) {
+  trimPacketCache();
+  std::vector<PacketBox> boxes;
+  for (std::size_t i = 0; i < kPacketCacheCapacity + 100; ++i) {
+    boxes.push_back(udpBox());
+  }
+  EXPECT_EQ(packetCacheSize(), 0u);
+  boxes.clear();  // the last 100 frees go back to the heap
+  EXPECT_EQ(packetCacheSize(), kPacketCacheCapacity);
+  trimPacketCache();
+  EXPECT_EQ(packetCacheSize(), 0u);
+}
+
+TEST(PacketBoxCache, ReusesTheLastFreedBlockFirst) {
+  trimPacketCache();
+  PacketBox a = udpBox();
+  PacketBox b = udpBox();
+  const std::uintptr_t block_a = addressOf(a.get());
+  const std::uintptr_t block_b = addressOf(b.get());
+  a.reset();
+  b.reset();
+  EXPECT_EQ(packetCacheSize(), 2u);
+  PacketBox c = udpBox();
+  PacketBox d = udpBox();
+  EXPECT_EQ(addressOf(c.get()), block_b);
+  EXPECT_EQ(addressOf(d.get()), block_a);
+  EXPECT_EQ(packetCacheSize(), 0u);
+}
+
+TEST(PacketBoxCache, ABoxFreedOnAnotherThreadIsCachedThereUntilItExits) {
+  // The freeing thread keeps the block and returns it to the heap when
+  // it exits (a leak there fails the ASan build's leak check, and the
+  // counting build's PacketBoxCache.ThreadExitReturnsItsBlocksToTheHeap).
+  trimPacketCache();
+  PacketBox box = udpBox();
+  std::size_t cached_there = 0;
+  std::thread([&] {
+    box.reset();
+    cached_there = packetCacheSize();
+  }).join();
+  EXPECT_EQ(cached_there, 1u);
+  EXPECT_EQ(packetCacheSize(), 0u);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(PacketBoxCache, CachedBlocksArePoisoned) {
+  trimPacketCache();
+  PacketBox box = udpBox();
+  const Packet* block = box.get();
+  EXPECT_FALSE(__asan_address_is_poisoned(block));
+  box.reset();
+  ASSERT_EQ(packetCacheSize(), 1u);
+  EXPECT_TRUE(__asan_address_is_poisoned(block));
+  box = udpBox();  // the same block, handed out again
+  EXPECT_EQ(box.get(), block);
+  EXPECT_FALSE(__asan_address_is_poisoned(block));
+}
+
+TEST(PacketBoxCacheDeathTest, UseOfARecycledBoxIsReported) {
+  EXPECT_DEATH(
+      {
+        PacketBox box = udpBox();
+        const Packet* freed = box.get();
+        box.reset();
+        volatile std::uint8_t ttl = freed->ip.ttl;
+        (void)ttl;
+      },
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace vini::packet

@@ -469,6 +469,7 @@ TEST(ShardEngine, TallyCriticalPathFollowsTheBusiestLane) {
   // Four windows, each with 9 events on a hot lane and 1 on a cold one:
   // the hot lane gates every round, so 2 contexts cut 40 events to a
   // 36-event critical path, and 1 context runs all 40 in sequence.
+  // run() drains in full lookahead windows, one round per window.
   for (const int threads : {1, 2}) {
     EventQueue q(threads);
     const NodeTag hot = q.internNodeTag("hot");
@@ -479,7 +480,9 @@ TEST(ShardEngine, TallyCriticalPathFollowsTheBusiestLane) {
       for (int i = 0; i < 9; ++i) q.schedule(t + i, "test", hot, [] {});
       q.schedule(t + 100, "test", cold, [] {});
     }
-    q.runUntil(kSecond);  // run() would cut windows at its drain chunks
+    q.run();
+    EXPECT_EQ(q.now(), 3 * kMillisecond + kMicrosecond + 100)
+        << "threads=" << threads;  // the last cold event
     const EventQueue::ShardTally tally = q.shardTally();
     EXPECT_EQ(tally.rounds, 4u) << "threads=" << threads;
     EXPECT_EQ(tally.events, 40u) << "threads=" << threads;

@@ -173,6 +173,22 @@ TEST(HostStack, LoopbackDeliveryToOwnAddress) {
   EXPECT_EQ(received, 1);
 }
 
+TEST(HostStack, LocalAddressesAddOnceAndRemove) {
+  Chain world;
+  HostStack& stack = *world.sa;
+  const IpAddress tap(10, 9, 0, 1);
+  EXPECT_TRUE(stack.isLocalAddress(stack.address()));
+  EXPECT_FALSE(stack.isLocalAddress(tap));
+  stack.addLocalAddress(tap);
+  stack.addLocalAddress(tap);  // a second add is a no-op
+  EXPECT_TRUE(stack.isLocalAddress(tap));
+  stack.removeLocalAddress(tap);  // so one remove clears it
+  EXPECT_FALSE(stack.isLocalAddress(tap));
+  EXPECT_TRUE(stack.isLocalAddress(stack.address()));
+  stack.removeLocalAddress(tap);  // removing an absent address is a no-op
+  EXPECT_TRUE(stack.isLocalAddress(stack.address()));
+}
+
 TEST(HostStack, TunDeviceRoundTrip) {
   Chain world;
   TunDevice& tun = world.sa->createTunDevice("tap0", IpAddress(10, 1, 0, 2));

@@ -8,6 +8,8 @@
 //
 //   events/sec            executed events per wall-clock second
 //   sim-packets/sec       packets clocked onto physical wires per wall second
+//   events/packet         executed events per wire packet (deterministic:
+//                         what the simulator spends on each packet)
 //   sim/wall ratio        simulated seconds per wall second (>1 = faster
 //                         than real time)
 //   peak event storage    high-water entries resident in the event queue
@@ -83,6 +85,11 @@ struct RunResult {
   }
   double simWallRatio() const {
     return wall_seconds > 0 ? sim_seconds / wall_seconds : 0.0;
+  }
+  double eventsPerPacket() const {
+    return sim_packets > 0 ? static_cast<double>(events) /
+                                 static_cast<double>(sim_packets)
+                           : 0.0;
   }
   /// The speedup these rounds allow (0 for the classic engine).
   double ceiling() const {
@@ -254,6 +261,7 @@ void writeRunJson(std::ofstream& out, const RunResult& r, bool last) {
       "      \"speedup_vs_1t\": %.3f,\n"
       "      \"sim_packets\": %llu,\n"
       "      \"sim_packets_per_sec\": %.0f,\n"
+      "      \"events_per_packet\": %.3f,\n"
       "      \"sim_seconds\": %.3f,\n"
       "      \"wall_seconds\": %.6f,\n"
       "      \"sim_wall_ratio\": %.3f,\n"
@@ -265,8 +273,8 @@ void writeRunJson(std::ofstream& out, const RunResult& r, bool last) {
       "    }%s\n",
       r.threads, static_cast<unsigned long long>(r.events), r.eventsPerSec(),
       r.speedup_vs_1t, static_cast<unsigned long long>(r.sim_packets),
-      r.packetsPerSec(), r.sim_seconds, r.wall_seconds, r.simWallRatio(),
-      static_cast<unsigned long long>(r.peak_pending),
+      r.packetsPerSec(), r.eventsPerPacket(), r.sim_seconds, r.wall_seconds,
+      r.simWallRatio(), static_cast<unsigned long long>(r.peak_pending),
       static_cast<unsigned long long>(r.peak_storage),
       static_cast<unsigned long long>(r.rounds),
       static_cast<unsigned long long>(r.critical_path), r.ceiling(),
@@ -340,14 +348,14 @@ int main(int argc, char** argv) {
     std::printf(
         "\n  threads=%d %9.2f s sim in %6.2f s wall (ratio %6.2f)\n"
         "    events        %12llu   (%.0f events/s)\n"
-        "    sim packets   %12llu   (%.0f packets/s)\n"
+        "    sim packets   %12llu   (%.0f packets/s, %.3f events/packet)\n"
         "    peak pending  %12llu   peak storage %llu\n"
         "    rounds        %12llu   critical path %llu events (ceiling "
         "%.2fx)\n",
         r.threads, r.sim_seconds, r.wall_seconds, r.simWallRatio(),
         static_cast<unsigned long long>(r.events), r.eventsPerSec(),
         static_cast<unsigned long long>(r.sim_packets), r.packetsPerSec(),
-        static_cast<unsigned long long>(r.peak_pending),
+        r.eventsPerPacket(), static_cast<unsigned long long>(r.peak_pending),
         static_cast<unsigned long long>(r.peak_storage),
         static_cast<unsigned long long>(r.rounds),
         static_cast<unsigned long long>(r.critical_path), r.ceiling());

@@ -1,5 +1,6 @@
 #include "phys/link.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -52,11 +53,13 @@ obs::TraceRecord channelRecord(obs::TraceEvent ev, sim::Time t,
 
 Channel::Channel(sim::EventQueue& queue, sim::Random& random,
                  const LinkConfig& config, const bool& link_up,
-                 std::string label, sim::NodeTag tx_node, sim::NodeTag rx_node)
+                 std::string label, sim::NodeTag tx_node, sim::NodeTag rx_node,
+                 const std::vector<sim::Time>* transitions)
     : queue_(queue),
       random_(random),
       config_(config),
       link_up_(link_up),
+      transitions_(transitions),
       tx_node_(tx_node),
       rx_node_(rx_node),
       label_(std::move(label)) {
@@ -78,74 +81,69 @@ Channel::Channel(sim::EventQueue& queue, sim::Random& random,
   }
 }
 
-std::uint32_t Channel::spanOpen(const packet::Packet& p, std::int16_t layer) {
+std::uint32_t Channel::spanOpen(const packet::Packet& p, std::int16_t layer,
+                                sim::Time t) {
   if (p.meta.trace_id == 0) return 0;
   if (obs::Obs* ctx = VINI_OBS_CTX()) {
-    return ctx->spans.open(p.meta.trace_id, layer, queue_.now(), -1,
-                           span_link_,
+    return ctx->spans.open(p.meta.trace_id, layer, t, -1, span_link_,
                            static_cast<std::uint32_t>(p.wireBytes()));
   }
   return 0;
 }
 
-void Channel::spanClose(std::uint32_t span_id) {
+void Channel::spanClose(std::uint32_t span_id, sim::Time t) {
   if (span_id == 0) return;
-  if (obs::Obs* ctx = VINI_OBS_CTX()) ctx->spans.close(span_id, queue_.now());
+  if (obs::Obs* ctx = VINI_OBS_CTX()) ctx->spans.close(span_id, t);
 }
 
-void Channel::spanRootDrop(const packet::Packet& p, const char* reason) {
+void Channel::spanRootDrop(const packet::Packet& p, const char* reason,
+                           sim::Time t) {
   if (p.meta.trace_id == 0) return;
   if (obs::Obs* ctx = VINI_OBS_CTX()) {
-    ctx->spans.closeRoot(p.meta.trace_id, queue_.now(),
-                         obs::SpanOutcome::kDropped,
+    ctx->spans.closeRoot(p.meta.trace_id, t, obs::SpanOutcome::kDropped,
                          ctx->spans.intern(reason));
   }
 }
 
 void Channel::transmit(packet::PacketBox p) {
+  const sim::Time now = queue_.now();
   if (!link_up_) {
     ++stats_.down_drops;
     VINI_OBS_INC(m_down_drops_);
-    VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kDownDrop, queue_.now(), *p,
-                                 trace_link_));
-    spanRootDrop(*p, "link_down");
+    VINI_OBS_TRACE(
+        channelRecord(obs::TraceEvent::kDownDrop, now, *p, trace_link_));
+    spanRootDrop(*p, "link_down", now);
     return;
   }
   const std::size_t wire = p->wireBytes();
   if (queued_bytes_ + wire > config_.queue_bytes) {
     ++stats_.queue_drops;
     VINI_OBS_INC(m_queue_drops_);
-    VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kQueueDrop, queue_.now(), *p,
-                                 trace_link_));
-    spanRootDrop(*p, "queue_full");
+    VINI_OBS_TRACE(
+        channelRecord(obs::TraceEvent::kQueueDrop, now, *p, trace_link_));
+    spanRootDrop(*p, "queue_full", now);
+    return;
+  }
+  VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kEnqueue, now, *p, trace_link_));
+  const std::uint32_t queue_span = spanOpen(*p, span_queue_, now);
+  if (tx_queue_.empty() && busy_until_ <= now) {
+    startFrame(std::move(p), queue_span);
     return;
   }
   queued_bytes_ += wire;
   VINI_OBS_GAUGE_SET(m_queued_bytes_, static_cast<double>(queued_bytes_));
-  VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kEnqueue, queue_.now(), *p,
-                               trace_link_));
-  const std::uint32_t queue_span = spanOpen(*p, span_queue_);
   tx_queue_.push_back(Queued{std::move(p), queue_span});
   auditByteAccounting(tx_queue_, queued_bytes_);
-  if (!transmitting_) startNextTransmission();
+  if (tx_queue_.size() == 1) {
+    queue_.schedule(busy_until_, "phys.link", tx_node_,
+                    [this] { startQueued(); });
+  }
 }
 
-void Channel::startNextTransmission() {
-  if (tx_queue_.empty()) {
-    transmitting_ = false;
-    VINI_AUDIT_CHECK(
-        queued_bytes_ == 0,
-        (check::Diagnostic{check::Severity::kError, "V102", "phys channel",
-                           "empty transmit queue but " +
-                               std::to_string(queued_bytes_) +
-                               " bytes still accounted"}));
-    return;
-  }
-  transmitting_ = true;
-  packet::PacketBox p = std::move(tx_queue_.front().packet);
-  spanClose(tx_queue_.front().span);
+void Channel::startQueued() {
+  Queued head = std::move(tx_queue_.front());
   tx_queue_.pop_front();
-  const std::size_t wire = p->wireBytes();
+  const std::size_t wire = head.packet->wireBytes();
   VINI_AUDIT_CHECK(
       wire <= queued_bytes_,
       (check::Diagnostic{check::Severity::kError, "V102", "phys channel",
@@ -155,85 +153,123 @@ void Channel::startNextTransmission() {
   queued_bytes_ -= wire;
   VINI_OBS_GAUGE_SET(m_queued_bytes_, static_cast<double>(queued_bytes_));
   auditByteAccounting(tx_queue_, queued_bytes_);
+  VINI_AUDIT_CHECK(
+      !tx_queue_.empty() || queued_bytes_ == 0,
+      (check::Diagnostic{check::Severity::kError, "V102", "phys channel",
+                         "empty transmit queue but " +
+                             std::to_string(queued_bytes_) +
+                             " bytes still accounted"}));
+  startFrame(std::move(head.packet), head.span);
+  if (!tx_queue_.empty()) {
+    queue_.schedule(busy_until_, "phys.link", tx_node_,
+                    [this] { startQueued(); });
+  }
+}
 
+void Channel::startFrame(packet::PacketBox p, std::uint32_t queue_span) {
+  const sim::Time now = queue_.now();
+  spanClose(queue_span, now);
+  const std::size_t wire = p->wireBytes();
   // Integer ceiling: a frame holds the wire for at least its bit time.
   // The old float product truncated up to 1 ns/frame, letting
   // back-to-back frames overlap on a saturated link.
-  const sim::Duration serialization =
-      sim::serializationDelay(wire, config_.bandwidth_bps);
-  VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kSerializeStart, queue_.now(),
-                               *p, trace_link_));
-  const std::uint32_t serialize_span = spanOpen(*p, span_serialize_);
+  busy_until_ = now + sim::serializationDelay(wire, config_.bandwidth_bps);
+  ++stats_.tx_packets;
+  stats_.tx_bytes += wire;
+  VINI_OBS_INC(m_tx_packets_);
+  VINI_OBS_ADD(m_tx_bytes_, wire);
+  VINI_OBS_TRACE(
+      channelRecord(obs::TraceEvent::kSerializeStart, now, *p, trace_link_));
+  const std::uint32_t serialize_span = spanOpen(*p, span_serialize_, now);
+  const bool lost =
+      config_.loss_rate > 0.0 && rng().chance(config_.loss_rate);
+  // The arrival event belongs to the *receiving* node — this is the
+  // cross-node edge whose propagation delay bounds the conservative
+  // lookahead window.
+  queue_.schedule(busy_until_ + config_.propagation, "phys.link", rx_node_,
+                  [this, p = std::move(p), serialized_at = busy_until_,
+                   serialize_span, lost]() mutable {
+                    arrive(std::move(p), serialized_at, serialize_span, lost);
+                  });
+}
 
-  queue_.scheduleAfter(serialization, "phys.link", tx_node_,
-                       [this, p = std::move(p), serialize_span]() mutable {
-    ++stats_.tx_packets;
-    stats_.tx_bytes += p->wireBytes();
-    VINI_OBS_INC(m_tx_packets_);
-    VINI_OBS_ADD(m_tx_bytes_, p->wireBytes());
-    spanClose(serialize_span);
-    // The wire is free again; start the next frame.
-    const bool lost = !link_up_ ||
-                      (config_.loss_rate > 0.0 && rng().chance(config_.loss_rate));
-    if (lost) {
-      if (!link_up_) {
-        ++stats_.down_drops;
-        VINI_OBS_INC(m_down_drops_);
-        VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kDownDrop, queue_.now(),
-                                     *p, trace_link_));
-        spanRootDrop(*p, "link_down");
-      } else {
-        ++stats_.loss_drops;
-        VINI_OBS_INC(m_loss_drops_);
-        VINI_OBS_TRACE(channelRecord(obs::TraceEvent::kLossDrop, queue_.now(),
-                                     *p, trace_link_));
-        spanRootDrop(*p, "wire_loss");
-      }
-    } else {
-      const std::uint32_t prop_span = spanOpen(*p, span_propagation_);
-      // The delivery event belongs to the *receiving* node — this is
-      // the cross-node edge whose propagation delay bounds the
-      // conservative lookahead window.
-      queue_.scheduleAfter(config_.propagation, "phys.link", rx_node_,
-                           [this, p = std::move(p), prop_span]() mutable {
-                             spanClose(prop_span);
-                             // A link that died mid-flight eats the packet:
-                             // physical fate sharing.
-                             if (!link_up_) {
-                               ++stats_.down_drops;
-                               VINI_OBS_INC(m_down_drops_);
-                               VINI_OBS_TRACE(channelRecord(
-                                 obs::TraceEvent::kDownDrop, queue_.now(), *p,
-                                 trace_link_));
-                               spanRootDrop(*p, "link_down_midflight");
-                               return;
-                             }
-                             if (deliver_) deliver_(std::move(p));
-                           });
-    }
-    startNextTransmission();
-  });
+bool Channel::upAt(sim::Time t) const {
+  // Transitions alternate, so the state at `t` is the current one
+  // flipped once per transition after `t`.
+  bool up = link_up_;
+  if (transitions_ == nullptr) return up;
+  for (auto it = transitions_->rbegin();
+       it != transitions_->rend() && *it > t; ++it) {
+    up = !up;
+  }
+  return up;
+}
+
+void Channel::arrive(packet::PacketBox p, sim::Time serialized_at,
+                     std::uint32_t serialize_span, bool lost) {
+  const sim::Time now = queue_.now();
+  auto drop = [&](std::uint64_t& count, [[maybe_unused]] obs::Counter* metric,
+                  [[maybe_unused]] obs::TraceEvent event, const char* reason,
+                  sim::Time t) {
+    ++count;
+    VINI_OBS_INC(metric);
+    VINI_OBS_TRACE(channelRecord(event, now, *p, trace_link_));
+    spanRootDrop(*p, reason, t);
+  };
+  spanClose(serialize_span, serialized_at);
+  if (!upAt(serialized_at)) {
+    drop(arrival_drops_.down_drops, m_down_drops_, obs::TraceEvent::kDownDrop,
+         "link_down", serialized_at);
+    return;
+  }
+  if (lost) {
+    drop(arrival_drops_.loss_drops, m_loss_drops_, obs::TraceEvent::kLossDrop,
+         "wire_loss", serialized_at);
+    return;
+  }
+  spanClose(spanOpen(*p, span_propagation_, serialized_at), now);
+  // A link that died mid-flight eats the packet: physical fate sharing.
+  if (!link_up_) {
+    drop(arrival_drops_.down_drops, m_down_drops_, obs::TraceEvent::kDownDrop,
+         "link_down_midflight", now);
+    return;
+  }
+  if (deliver_) deliver_(std::move(p));
 }
 
 PhysLink::PhysLink(int id, std::string name, NodeId a, NodeId b,
                    sim::EventQueue& queue, sim::Random& random,
                    LinkConfig config, const std::string& a_name,
                    const std::string& b_name)
-    : id_(id),
+    : queue_(queue),
+      id_(id),
       name_(std::move(name)),
       a_(a),
       b_(b),
       base_config_(config),
+      longest_propagation_(config.propagation),
       ab_(queue, random, config, up_, name_ + "/ab",
           a_name.empty() ? sim::kNoNode : queue.internNodeTag(a_name),
-          b_name.empty() ? sim::kNoNode : queue.internNodeTag(b_name)),
+          b_name.empty() ? sim::kNoNode : queue.internNodeTag(b_name),
+          &transitions_),
       ba_(queue, random, config, up_, name_ + "/ba",
           b_name.empty() ? sim::kNoNode : queue.internNodeTag(b_name),
-          a_name.empty() ? sim::kNoNode : queue.internNodeTag(a_name)) {}
+          a_name.empty() ? sim::kNoNode : queue.internNodeTag(a_name),
+          &transitions_) {}
 
 void PhysLink::setUp(bool up) {
   if (up == up_) return;
   up_ = up;
+  // A frame in flight arrives at or after now, so it finished
+  // serializing at or after now minus its propagation delay; older
+  // transitions can no longer decide any frame's fate.
+  const sim::Time now = queue_.now();
+  auto stale = transitions_.begin();
+  while (stale != transitions_.end() && *stale <= now - longest_propagation_) {
+    ++stale;
+  }
+  transitions_.erase(transitions_.begin(), stale);
+  transitions_.push_back(now);
   for (auto& listener : listeners_) listener(*this, up_);
 }
 
@@ -241,6 +277,7 @@ void PhysLink::applyConfig(LinkConfig config) {
   // The routing weight stays authoritative from construction; a degrade
   // must not silently reroute the underlay.
   config.weight = base_config_.weight;
+  longest_propagation_ = std::max(longest_propagation_, config.propagation);
   ab_.setConfig(config);
   ba_.setConfig(config);
   degraded_ = true;

@@ -6,6 +6,12 @@
 // loss, and an up/down state.  Link state changes are observable — the
 // VINI layer subscribes so virtual links can share fate with the
 // physical components beneath them (Section 3.1).
+//
+// A FIFO wire knows a frame's whole schedule when the frame starts
+// serializing, so a channel spends one engine event per frame: its
+// arrival at the receiver.  The link's fate checks at the end of
+// serialization are settled at arrival from the link's log of recent
+// up/down transitions (DESIGN §13).
 #pragma once
 
 #include <cstdint>
@@ -53,13 +59,16 @@ class Channel {
   /// the channel registers its counters and emits trace events under it.
   /// `tx_node` / `rx_node` attribute the channel's events to physical
   /// nodes (sim::EventQueue::internNodeTag) for the shard-readiness
-  /// telemetry: the serialization event belongs to the transmitting
-  /// node, the propagation/delivery event to the receiving node.
-  /// Attribution is passive — runs are byte-identical without it.
+  /// telemetry: the wire-free event belongs to the transmitting node,
+  /// the arrival event to the receiving node.  Attribution is passive —
+  /// runs are byte-identical without it.  `transitions` is the owning
+  /// link's transition log (PhysLink); a channel without one reads the
+  /// link state only at transmit and at arrival.
   Channel(sim::EventQueue& queue, sim::Random& random, const LinkConfig& config,
           const bool& link_up, std::string label = {},
           sim::NodeTag tx_node = sim::kNoNode,
-          sim::NodeTag rx_node = sim::kNoNode);
+          sim::NodeTag rx_node = sim::kNoNode,
+          const std::vector<sim::Time>* transitions = nullptr);
 
   /// Enqueue a packet for transmission; it is delivered to the receiver's
   /// handler after queueing + serialization + propagation, unless dropped
@@ -69,23 +78,40 @@ class Channel {
   /// The receiving node installs its delivery handler here.
   void setDeliverHandler(DeliverFn fn) { deliver_ = std::move(fn); }
 
-  const ChannelStats& stats() const { return stats_; }
+  ChannelStats stats() const {
+    ChannelStats s = stats_;
+    s.loss_drops += arrival_drops_.loss_drops;
+    s.down_drops += arrival_drops_.down_drops;
+    return s;
+  }
   std::size_t queuedBytes() const { return queued_bytes_; }
   const LinkConfig& config() const { return config_; }
 
   /// Replace the live configuration.  Takes effect for packets not yet
-  /// serializing: frames already on the wire finish under the old rate.
+  /// serializing: a frame's rate, propagation delay and loss draw are
+  /// fixed when it starts serializing.
   void setConfig(const LinkConfig& config) { config_ = config; }
 
  private:
-  void startNextTransmission();
+  /// Put `p` on the (idle) wire now: count it, draw its loss and
+  /// schedule its arrival.  `queue_span` is its queueing span.
+  void startFrame(packet::PacketBox p, std::uint32_t queue_span);
+  /// The wire-free event: start the frame at the head of the queue.
+  void startQueued();
+  /// The arrival event: settle the frame's fate and hand it on.
+  void arrive(packet::PacketBox p, sim::Time serialized_at,
+              std::uint32_t serialize_span, bool lost);
+  /// Whether the link was up at `t`, after any transitions at `t`.
+  bool upAt(sim::Time t) const;
 
   // Span plumbing for traced packets (meta.trace_id != 0): the link hop
   // decomposes into queueing, serialization, and propagation spans, and
   // every channel drop site closes the packet's root span with a reason.
-  std::uint32_t spanOpen(const packet::Packet& p, std::int16_t layer);
-  void spanClose(std::uint32_t span_id);
-  void spanRootDrop(const packet::Packet& p, const char* reason);
+  // Times come from the frame's schedule, not only from now().
+  std::uint32_t spanOpen(const packet::Packet& p, std::int16_t layer,
+                         sim::Time t);
+  void spanClose(std::uint32_t span_id, sim::Time t);
+  void spanRootDrop(const packet::Packet& p, const char* reason, sim::Time t);
 
   sim::EventQueue& queue_;
   /// The network RNG, or (sharded queue) a per-channel fork of it: loss
@@ -98,11 +124,12 @@ class Channel {
   sim::Random& rng() { return lane_random_ ? *lane_random_ : random_; }
   LinkConfig config_;
   const bool& link_up_;
+  const std::vector<sim::Time>* transitions_;
   DeliverFn deliver_;
-  /// The sender's box rides through the queue and both wire events
-  /// (serialization, propagation) and is handed on to deliver_, so a
-  /// link hop neither allocates nor copies the 144-byte Packet, and the
-  /// event callbacks capture only a pointer — small enough for the event
+  /// The sender's box rides through the queue and the arrival event and
+  /// is handed on to deliver_, so a link hop neither allocates nor
+  /// copies the 144-byte Packet, and the arrival callback captures only
+  /// a pointer and the frame's schedule — small enough for the event
   /// queue's inline storage.
   struct Queued {
     packet::PacketBox packet;
@@ -110,8 +137,18 @@ class Channel {
   };
   std::deque<Queued> tx_queue_;
   std::size_t queued_bytes_ = 0;
-  bool transmitting_ = false;
+  /// When the frame on the wire finishes serializing.  While frames
+  /// wait in tx_queue_, one wire-free event is pending at this time.
+  sim::Time busy_until_ = 0;
+  /// Written by the transmitting node's events only.
   ChannelStats stats_;
+  /// Drops settled at arrival, written by the receiving node's events
+  /// only: under the sharded engine the two ends run on different lanes.
+  struct ArrivalDrops {
+    std::uint64_t loss_drops = 0;
+    std::uint64_t down_drops = 0;
+  };
+  ArrivalDrops arrival_drops_;
 
   /// Node attribution for scheduled wire events (kNoNode when the
   /// owning PhysNetwork did not supply endpoint names).
@@ -184,7 +221,12 @@ class PhysLink {
     listeners_.push_back(std::move(listener));
   }
 
+  /// Times of the transitions frames still in flight may need, oldest
+  /// first (see setUp()).
+  const std::vector<sim::Time>& transitions() const { return transitions_; }
+
  private:
+  sim::EventQueue& queue_;
   int id_;
   std::string name_;
   NodeId a_;
@@ -192,6 +234,13 @@ class PhysLink {
   bool up_ = true;
   bool degraded_ = false;
   LinkConfig base_config_;
+  /// Transition times, written only by setUp() (serial under the
+  /// sharded engine) and read by the channels' arrival events.  An
+  /// entry at or before now minus the longest propagation delay either
+  /// channel has used is older than every frame in flight's end of
+  /// serialization, so setUp() drops it.
+  std::vector<sim::Time> transitions_;
+  sim::Duration longest_propagation_ = 0;
   Channel ab_;
   Channel ba_;
   std::vector<StateListener> listeners_;

@@ -58,8 +58,6 @@ class Random {
   /// Derive an independent child generator (stable given call order).
   Random fork() { return Random(engine_()); }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
   std::uniform_real_distribution<double> unit_{0.0, 1.0};

@@ -97,8 +97,9 @@ TEST(AllocationBudget, DeterTcpWindowAllocationsPerWirePacket) {
   // What is left is std::deque chunk churn: the UDP socket buffer's
   // (about 0.33 per wire packet, three packets to a chunk), the Click
   // job queues' (about 0.30) and the NIC and channel queues' (about
-  // 0.09).  Wire events, ring entries, Click jobs and TCP demux
-  // allocate nothing per packet.
+  // 0.06; a frame that finds its wire idle skips the channel queue).
+  // Wire events, ring entries, Click jobs and TCP demux allocate
+  // nothing per packet.
   topo::WorldOptions options;
   options.seed = 1000;
   auto world = topo::makeDeterWorld(options);
@@ -124,8 +125,8 @@ TEST(AllocationBudget, DeterTcpWindowAllocationsPerWirePacket) {
   RecordProperty("allocations", std::to_string(allocs));
   RecordProperty("wire_packets", std::to_string(wire));
   RecordProperty("allocations_per_wire_packet", std::to_string(per_packet));
-  // Measured 0.73 (38,599 allocations for 53,025 wire packets, GCC 12).
-  EXPECT_LT(per_packet, 0.8) << allocs << " allocations for " << wire
+  // Measured 0.70 (37,008 allocations for 53,024 wire packets, GCC 12).
+  EXPECT_LT(per_packet, 0.77) << allocs << " allocations for " << wire
                              << " wire packets";
 }
 
@@ -142,7 +143,7 @@ TEST(AllocationBudget, FloodShardedWindowAllocationsPerWirePacket) {
   // wire packet (the sending stack's box at a ToSocket hop and the inner
   // box ToSocket moves the forwarded packet into) are new heap blocks.  The std::deque chunks
   // of UDP delivery, the Click job queues and the NIC and channel
-  // queues add about 0.63.
+  // queues add about 0.60.
   topo::WorldOptions options;
   options.seed = 4711;
   options.contention = 0.0;
@@ -184,8 +185,8 @@ TEST(AllocationBudget, FloodShardedWindowAllocationsPerWirePacket) {
   RecordProperty("allocations", std::to_string(allocs));
   RecordProperty("wire_packets", std::to_string(wire));
   RecordProperty("allocations_per_wire_packet", std::to_string(per_packet));
-  // Measured 1.47 (28,741 allocations for 19,610 wire packets, GCC 12).
-  EXPECT_LT(per_packet, 1.6) << allocs << " allocations for " << wire
+  // Measured 1.43 (28,127 allocations for 19,612 wire packets, GCC 12).
+  EXPECT_LT(per_packet, 1.56) << allocs << " allocations for " << wire
                               << " wire packets";
 }
 
@@ -369,6 +370,32 @@ TEST(ChannelDrops, LinkDownMidFlightFreesTheBox) {
   });
   EXPECT_EQ(l.channel().stats().down_drops, 6u);
   EXPECT_EQ(l.delivered, 0);
+}
+
+TEST(ChannelDrops, DownUpBlipWhileSerializingDelivers) {
+  phys::LinkConfig config;
+  config.bandwidth_bps = 1e6;  // ~8 ms per 1000-byte frame
+  Link l(config);
+  expectNoLeak(l, [&] {
+    l.send(1);
+    l.queue.scheduleAfter(kMillisecond, [&] { l.link->setUp(false); });
+    l.queue.scheduleAfter(2 * kMillisecond, [&] { l.link->setUp(true); });
+  });
+  EXPECT_EQ(l.channel().stats().down_drops, 0u);
+  EXPECT_EQ(l.delivered, 2);
+}
+
+TEST(ChannelDrops, DownUpBlipInFlightDelivers) {
+  phys::LinkConfig config;
+  config.propagation = 10 * kMillisecond;
+  Link l(config);
+  expectNoLeak(l, [&] {
+    l.send(3);
+    l.queue.scheduleAfter(3 * kMillisecond, [&] { l.link->setUp(false); });
+    l.queue.scheduleAfter(6 * kMillisecond, [&] { l.link->setUp(true); });
+  });
+  EXPECT_EQ(l.channel().stats().down_drops, 0u);
+  EXPECT_EQ(l.delivered, 6);
 }
 
 }  // namespace

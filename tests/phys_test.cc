@@ -2,6 +2,11 @@
 // routing, and the expose-vs-mask failure semantics of Section 3.1.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "obs/obs.h"
 #include "phys/network.h"
 
 namespace vini::phys {
@@ -129,6 +134,121 @@ TEST(Channel, MidFlightFailureDropsPacket) {
   EXPECT_EQ(delivered, 0);
 }
 
+// ---------------------------------------------------------------------------
+// The link-down contract: a frame is dropped as link_down when the link
+// is down at transmit or at the end of its serialization, and as
+// link_down_midflight when it is down at arrival.  A down-up blip inside
+// either interval is not a drop.
+
+/// Sends one traced 100-byte frame at t = 0 over a 1 Mb/s link with
+/// 10 ms of propagation (serialization ends at 1.328 ms, arrival at
+/// 11.328 ms), applies `flaps` as (time, up) transitions, and returns
+/// the frame's fate: "delivered" or the drop reason on its root span.
+std::string fateOfOneFrame(const std::vector<std::pair<sim::Time, bool>>& flaps) {
+  obs::ScopedObs scope;
+  LinkConfig config;
+  config.bandwidth_bps = 1e6;
+  config.propagation = 10 * kMillisecond;
+  TwoNodes world(config);
+  bool delivered = false;
+  world.b->setPacketHandler(
+      [&](packet::PacketBox, PhysLink&) { delivered = true; });
+  packet::PacketBox p = smallPacket(world.a->address(), world.b->address());
+  p->meta.trace_id = scope.spans().newTraceId();
+  scope.spans().openRoot(p->meta.trace_id, scope.spans().intern("test"), 0);
+  world.link->channelFrom(world.a->id()).transmit(std::move(p));
+  for (const auto& [t, up] : flaps) {
+    world.queue.schedule(t, [&world, up = up] { world.link->setUp(up); });
+  }
+  world.queue.run();
+  if (delivered) return "delivered";
+  for (const auto& rec : scope.spans().records()) {
+    if (rec.root) return scope.spans().name(rec.reason);
+  }
+  return "dropped without a reason";
+}
+
+TEST(Channel, DownUpBlipInsideSerializationIsDelivered) {
+  EXPECT_EQ(fateOfOneFrame({{300 * kMicrosecond, false},
+                            {800 * kMicrosecond, true}}),
+            "delivered");
+}
+
+TEST(Channel, DownAcrossSerializationEndIsLinkDownDrop) {
+  EXPECT_EQ(fateOfOneFrame({{kMillisecond, false}, {5 * kMillisecond, true}}),
+            "link_down");
+}
+
+TEST(Channel, DownUpDuringPropagationIsDelivered) {
+  EXPECT_EQ(
+      fateOfOneFrame({{3 * kMillisecond, false}, {6 * kMillisecond, true}}),
+      "delivered");
+}
+
+TEST(Channel, DownAtArrivalIsMidflightDrop) {
+  EXPECT_EQ(fateOfOneFrame({{6 * kMillisecond, false}}),
+            "link_down_midflight");
+}
+
+TEST(Channel, SetConfigAppliesToWaitingFrames) {
+  LinkConfig config;
+  config.bandwidth_bps = 8e6;  // 1 byte per microsecond
+  TwoNodes world(config);
+  std::vector<sim::Time> deliveries;
+  world.b->setPacketHandler(
+      [&](packet::PacketBox, PhysLink&) { deliveries.push_back(world.queue.now()); });
+  auto& channel = world.link->channelFrom(world.a->id());
+  std::size_t wire = 0;
+  for (int i = 0; i < 3; ++i) {
+    packet::PacketBox p = smallPacket(world.a->address(), world.b->address());
+    wire = p->wireBytes();
+    channel.transmit(std::move(p));
+  }
+  // The first frame is already serializing; the other two wait.
+  LinkConfig faster = config;
+  faster.bandwidth_bps = 16e6;
+  channel.setConfig(faster);
+  world.queue.run();
+  ASSERT_EQ(deliveries.size(), 3u);
+  EXPECT_EQ(deliveries[0], sim::serializationDelay(wire, 8e6));
+  EXPECT_EQ(deliveries[1] - deliveries[0], sim::serializationDelay(wire, 16e6));
+  EXPECT_EQ(deliveries[2] - deliveries[1], sim::serializationDelay(wire, 16e6));
+}
+
+TEST(Channel, IdleWireCostsOneEventPerFrame) {
+  LinkConfig config;
+  config.bandwidth_bps = 8e6;  // 166 us per frame
+  config.propagation = kMillisecond;
+  TwoNodes world(config);
+  int delivered = 0;
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { ++delivered; });
+  auto& channel = world.link->channelFrom(world.a->id());
+  const int kFrames = 10;
+
+  // Spaced wider than their serialization time: each frame finds the
+  // wire idle, and its arrival is its only event beyond the one that
+  // sends it.
+  for (int i = 0; i < kFrames; ++i) {
+    world.queue.schedule(i * kMillisecond, [&] {
+      channel.transmit(smallPacket(world.a->address(), world.b->address()));
+    });
+  }
+  std::uint64_t before = world.queue.executedCount();
+  world.queue.run();
+  EXPECT_EQ(world.queue.executedCount() - before, 2u * kFrames);
+  EXPECT_EQ(delivered, kFrames);
+
+  // Back to back: every frame but the first also waits for a
+  // wire-free event.
+  for (int i = 0; i < kFrames; ++i) {
+    channel.transmit(smallPacket(world.a->address(), world.b->address()));
+  }
+  before = world.queue.executedCount();
+  world.queue.run();
+  EXPECT_EQ(world.queue.executedCount() - before, 2u * kFrames - 1);
+  EXPECT_EQ(delivered, 2 * kFrames);
+}
+
 TEST(PhysLink, StateListenersFireOnTransitionOnly) {
   TwoNodes world;
   int notifications = 0;
@@ -139,6 +259,21 @@ TEST(PhysLink, StateListenersFireOnTransitionOnly) {
   world.link->setUp(false);  // no-op
   world.link->setUp(true);
   EXPECT_EQ(notifications, 2);
+}
+
+TEST(PhysLink, TransitionLogHoldsOnlyOnePropagationWindow) {
+  LinkConfig config;
+  config.propagation = 10 * kMillisecond;
+  TwoNodes world(config);
+  // A link flapping every millisecond for a second: only transitions
+  // within the last propagation delay can decide a frame in flight.
+  for (int i = 1; i <= 1000; ++i) {
+    world.queue.schedule(i * kMillisecond,
+                         [&world, up = i % 2 == 0] { world.link->setUp(up); });
+  }
+  world.queue.run();
+  EXPECT_LE(world.link->transitions().size(), 11u);
+  EXPECT_EQ(world.link->transitions().back(), kSecond);
 }
 
 struct Diamond {

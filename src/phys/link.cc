@@ -52,14 +52,12 @@ obs::TraceRecord channelRecord(obs::TraceEvent ev, sim::Time t,
 }  // namespace
 
 Channel::Channel(sim::EventQueue& queue, sim::Random& random,
-                 const LinkConfig& config, const bool& link_up,
-                 std::string label, sim::NodeTag tx_node, sim::NodeTag rx_node,
-                 const std::vector<sim::Time>* transitions)
+                 const LinkConfig& config, const LinkState& link,
+                 std::string label, sim::NodeTag tx_node, sim::NodeTag rx_node)
     : queue_(queue),
       random_(random),
       config_(config),
-      link_up_(link_up),
-      transitions_(transitions),
+      link_(link),
       tx_node_(tx_node),
       rx_node_(rx_node),
       label_(std::move(label)) {
@@ -107,7 +105,7 @@ void Channel::spanRootDrop(const packet::Packet& p, const char* reason,
 
 void Channel::transmit(packet::PacketBox p) {
   const sim::Time now = queue_.now();
-  if (!link_up_) {
+  if (!link_.up) {
     ++stats_.down_drops;
     VINI_OBS_INC(m_down_drops_);
     VINI_OBS_TRACE(
@@ -193,16 +191,15 @@ void Channel::startFrame(packet::PacketBox p, std::uint32_t queue_span) {
                   });
 }
 
-bool Channel::upAt(sim::Time t) const {
+bool LinkState::upAt(sim::Time t) const {
   // Transitions alternate, so the state at `t` is the current one
   // flipped once per transition after `t`.
-  bool up = link_up_;
-  if (transitions_ == nullptr) return up;
-  for (auto it = transitions_->rbegin();
-       it != transitions_->rend() && *it > t; ++it) {
-    up = !up;
+  bool state = up;
+  for (auto it = transitions.rbegin(); it != transitions.rend() && *it > t;
+       ++it) {
+    state = !state;
   }
-  return up;
+  return state;
 }
 
 void Channel::arrive(packet::PacketBox p, sim::Time serialized_at,
@@ -217,7 +214,7 @@ void Channel::arrive(packet::PacketBox p, sim::Time serialized_at,
     spanRootDrop(*p, reason, t);
   };
   spanClose(serialize_span, serialized_at);
-  if (!upAt(serialized_at)) {
+  if (!link_.upAt(serialized_at)) {
     drop(arrival_drops_.down_drops, m_down_drops_, obs::TraceEvent::kDownDrop,
          "link_down", serialized_at);
     return;
@@ -229,7 +226,7 @@ void Channel::arrive(packet::PacketBox p, sim::Time serialized_at,
   }
   spanClose(spanOpen(*p, span_propagation_, serialized_at), now);
   // A link that died mid-flight eats the packet: physical fate sharing.
-  if (!link_up_) {
+  if (!link_.up) {
     drop(arrival_drops_.down_drops, m_down_drops_, obs::TraceEvent::kDownDrop,
          "link_down_midflight", now);
     return;
@@ -248,29 +245,26 @@ PhysLink::PhysLink(int id, std::string name, NodeId a, NodeId b,
       b_(b),
       base_config_(config),
       longest_propagation_(config.propagation),
-      ab_(queue, random, config, up_, name_ + "/ab",
+      ab_(queue, random, config, state_, name_ + "/ab",
           a_name.empty() ? sim::kNoNode : queue.internNodeTag(a_name),
+          b_name.empty() ? sim::kNoNode : queue.internNodeTag(b_name)),
+      ba_(queue, random, config, state_, name_ + "/ba",
           b_name.empty() ? sim::kNoNode : queue.internNodeTag(b_name),
-          &transitions_),
-      ba_(queue, random, config, up_, name_ + "/ba",
-          b_name.empty() ? sim::kNoNode : queue.internNodeTag(b_name),
-          a_name.empty() ? sim::kNoNode : queue.internNodeTag(a_name),
-          &transitions_) {}
+          a_name.empty() ? sim::kNoNode : queue.internNodeTag(a_name)) {}
 
 void PhysLink::setUp(bool up) {
-  if (up == up_) return;
-  up_ = up;
+  if (up == state_.up) return;
+  state_.up = up;
   // A frame in flight arrives at or after now, so it finished
   // serializing at or after now minus its propagation delay; older
   // transitions can no longer decide any frame's fate.
   const sim::Time now = queue_.now();
-  auto stale = transitions_.begin();
-  while (stale != transitions_.end() && *stale <= now - longest_propagation_) {
-    ++stale;
-  }
-  transitions_.erase(transitions_.begin(), stale);
-  transitions_.push_back(now);
-  for (auto& listener : listeners_) listener(*this, up_);
+  std::vector<sim::Time>& log = state_.transitions;
+  auto stale = log.begin();
+  while (stale != log.end() && *stale <= now - longest_propagation_) ++stale;
+  log.erase(log.begin(), stale);
+  log.push_back(now);
+  for (auto& listener : listeners_) listener(*this, up);
 }
 
 void PhysLink::applyConfig(LinkConfig config) {

@@ -49,6 +49,18 @@ struct ChannelStats {
   std::uint64_t down_drops = 0;
 };
 
+/// A link's up/down state as its channels read it: the current state
+/// and the times of the transitions frames still in flight may need,
+/// oldest first.  PhysLink owns and writes it (setUp(), serial under the
+/// sharded engine); the channels' events only read it.
+struct LinkState {
+  bool up = true;
+  std::vector<sim::Time> transitions;
+
+  /// Whether the link was up at `t`, after any transitions at `t`.
+  bool upAt(sim::Time t) const;
+};
+
 /// One direction of a physical link.
 class Channel {
  public:
@@ -61,14 +73,12 @@ class Channel {
   /// nodes (sim::EventQueue::internNodeTag) for the shard-readiness
   /// telemetry: the wire-free event belongs to the transmitting node,
   /// the arrival event to the receiving node.  Attribution is passive —
-  /// runs are byte-identical without it.  `transitions` is the owning
-  /// link's transition log (PhysLink); a channel without one reads the
-  /// link state only at transmit and at arrival.
+  /// runs are byte-identical without it.  `link` is the owning link's
+  /// state, read at transmit and at arrival.
   Channel(sim::EventQueue& queue, sim::Random& random, const LinkConfig& config,
-          const bool& link_up, std::string label = {},
+          const LinkState& link, std::string label = {},
           sim::NodeTag tx_node = sim::kNoNode,
-          sim::NodeTag rx_node = sim::kNoNode,
-          const std::vector<sim::Time>* transitions = nullptr);
+          sim::NodeTag rx_node = sim::kNoNode);
 
   /// Enqueue a packet for transmission; it is delivered to the receiver's
   /// handler after queueing + serialization + propagation, unless dropped
@@ -123,8 +133,7 @@ class Channel {
   std::optional<sim::Random> lane_random_;
   sim::Random& rng() { return lane_random_ ? *lane_random_ : random_; }
   LinkConfig config_;
-  const bool& link_up_;
-  const std::vector<sim::Time>* transitions_;
+  const LinkState& link_;
   DeliverFn deliver_;
   /// The sender's box rides through the queue and the arrival event and
   /// is handed on to deliver_, so a link hop neither allocates nor
@@ -198,7 +207,7 @@ class PhysLink {
   Channel& channelFrom(NodeId n) { return n == a_ ? ab_ : ba_; }
   const Channel& channelFrom(NodeId n) const { return n == a_ ? ab_ : ba_; }
 
-  bool isUp() const { return up_; }
+  bool isUp() const { return state_.up; }
   /// Fail or restore the link; notifies subscribers on change.
   void setUp(bool up);
 
@@ -223,7 +232,9 @@ class PhysLink {
 
   /// Times of the transitions frames still in flight may need, oldest
   /// first (see setUp()).
-  const std::vector<sim::Time>& transitions() const { return transitions_; }
+  const std::vector<sim::Time>& transitions() const {
+    return state_.transitions;
+  }
 
  private:
   sim::EventQueue& queue_;
@@ -231,15 +242,12 @@ class PhysLink {
   std::string name_;
   NodeId a_;
   NodeId b_;
-  bool up_ = true;
   bool degraded_ = false;
   LinkConfig base_config_;
-  /// Transition times, written only by setUp() (serial under the
-  /// sharded engine) and read by the channels' arrival events.  An
-  /// entry at or before now minus the longest propagation delay either
-  /// channel has used is older than every frame in flight's end of
-  /// serialization, so setUp() drops it.
-  std::vector<sim::Time> transitions_;
+  /// Read by both channels.  A transition at or before now minus the
+  /// longest propagation delay either channel has used is older than
+  /// every frame in flight's end of serialization, so setUp() drops it.
+  LinkState state_;
   sim::Duration longest_propagation_ = 0;
   Channel ab_;
   Channel ba_;

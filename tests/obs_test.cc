@@ -254,12 +254,12 @@ TEST(Reconciliation, ChannelDropsMatchAcrossTracerRegistryAndStats) {
 
   sim::EventQueue q;
   sim::Random random(4242);
-  bool up = true;
+  phys::LinkState link;
   phys::LinkConfig config;
   config.bandwidth_bps = 1e6;      // slow: packets back up
   config.queue_bytes = 4000;       // tiny drop-tail queue
   config.loss_rate = 0.2;          // seeded random loss
-  phys::Channel channel(q, random, config, up, "A-B/ab");
+  phys::Channel channel(q, random, config, link, "A-B/ab");
 
   std::uint64_t delivered = 0;
   channel.setDeliverHandler([&](packet::PacketBox) { ++delivered; });
@@ -338,12 +338,12 @@ TEST(Reconciliation, InstrumentationIsPassive) {
     if (with_obs) scope.emplace();
     sim::EventQueue q;
     sim::Random random(99);
-    bool up = true;
+    phys::LinkState link;
     phys::LinkConfig config;
     config.bandwidth_bps = 1e6;
     config.queue_bytes = 4000;
     config.loss_rate = 0.3;
-    phys::Channel channel(q, random, config, up, with_obs ? "L/ab" : "");
+    phys::Channel channel(q, random, config, link, with_obs ? "L/ab" : "");
     std::vector<std::uint64_t> delivered_seqs;
     channel.setDeliverHandler([&](packet::PacketBox p) {
       delivered_seqs.push_back(p->meta.app_seq);

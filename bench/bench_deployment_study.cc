@@ -11,7 +11,7 @@
 // failure dynamics) and controlled (the trace is replayable).
 #include "app/ping.h"
 #include "bench_common.h"
-#include "topo/failure_trace.h"
+#include "fault/injector.h"
 #include "topo/worlds.h"
 
 using namespace vini;
@@ -24,7 +24,7 @@ struct Outcome {
   std::uint64_t answered = 0;
 };
 
-Outcome run(bool use_upcalls, const std::vector<topo::LinkEvent>& trace,
+Outcome run(bool use_upcalls, const fault::FaultSchedule& trace,
             double hours) {
   topo::WorldOptions options;
   options.contention = 0.0;
@@ -35,9 +35,10 @@ Outcome run(bool use_upcalls, const std::vector<topo::LinkEvent>& trace,
   const sim::Time t0 = world->queue.now();
 
   // Rebase the trace onto the converged clock and schedule it.
-  std::vector<topo::LinkEvent> rebased = trace;
-  for (auto& event : rebased) event.at_seconds += sim::toSeconds(t0);
-  topo::applyLinkTrace(rebased, world->schedule, world->net);
+  fault::FaultSchedule rebased = trace;
+  for (auto& event : rebased.events) event.at_seconds += sim::toSeconds(t0);
+  fault::FaultInjector injector(world->schedule, world->net);
+  injector.apply(rebased);
 
   const double duration_s = hours * 3600.0;
   app::Pinger::Options popt;
@@ -69,16 +70,24 @@ int main() {
   sim::EventQueue scratch_queue;
   phys::PhysNetwork scratch(scratch_queue);
   topo::buildAbilene(scratch);
-  topo::FailureModel model;
-  model.mttf_seconds = 1800.0;  // each fiber fails ~2x/hour
-  model.mttr_seconds = 45.0;
+  fault::CampaignTargets targets;
+  for (const auto& link : scratch.links()) {
+    targets.links.push_back(link->name());
+  }
+  // Plain link faults only: each fiber fails ~2x/hour.
+  fault::CampaignModel model;
   model.seed = 77;
+  model.link = fault::FaultClassModel{true, 1800.0, 45.0};
+  model.degrade.enabled = false;
+  model.node.enabled = false;
+  model.proc.enabled = false;
   const double hours = 1.0;
-  const auto trace = generateFailureTrace(scratch, hours * 3600.0, model);
+  const fault::FaultSchedule trace =
+      fault::generateFaultCampaign(targets, hours * 3600.0, model);
   std::printf("\ntrace: %zu events over %.0f h across %zu fibers "
               "(MTTF %.0fs, MTTR %.0fs)\n",
-              trace.size(), hours, scratch.linkCount(), model.mttf_seconds,
-              model.mttr_seconds);
+              trace.events.size(), hours, targets.links.size(),
+              model.link.mttf_seconds, model.link.mttr_seconds);
 
   std::printf("\n%-28s %14s %12s\n", "slice configuration", "availability",
               "lost probes");

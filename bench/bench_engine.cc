@@ -42,10 +42,12 @@
 // measured speedup is set against the row's own ceiling (warn below 50%
 // of it).
 //
-// --baseline FILE compares this run's events/s against a checked-in
-// BENCH_engine.json from an earlier commit and fails on a >15%
-// regression per thread count — the perf-trajectory gate.  Skipped
-// under VINI_SMOKE (smoke runs are too short to be stable).
+// --baseline FILE compares this run's sim-packets/s against a
+// checked-in BENCH_engine.json from an earlier commit and fails on a
+// >15% regression per thread count — the perf-trajectory gate.  It
+// gates on packets, not events, so a change that spends fewer events on
+// the same simulated work is not read as a regression.  Skipped under
+// VINI_SMOKE (smoke runs are too short to be stable).
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -173,10 +175,10 @@ RunResult runOnce(int threads, int flows, int seconds) {
   return result;
 }
 
-/// One baseline entry: threads -> events/s.
+/// One baseline entry: threads -> sim-packets/s.
 struct BaselineEntry {
   int threads = 0;
-  double events_per_sec = 0.0;
+  double sim_packets_per_sec = 0.0;
 };
 
 /// Extract baseline entries from a BENCH_engine.json this bench itself
@@ -200,11 +202,11 @@ std::vector<BaselineEntry> parseBaseline(const std::string& path) {
   while (std::getline(in, line)) {
     if (const char* v = fieldTail("\"threads\": ")) {
       threads = std::atoi(v);
-    } else if (const char* v = fieldTail("\"events_per_sec\": ")) {
+    } else if (const char* v = fieldTail("\"sim_packets_per_sec\": ")) {
       if (threads < 0) {
         std::fprintf(stderr,
                      "bench_engine: malformed baseline %s "
-                     "(events_per_sec before threads)\n",
+                     "(sim_packets_per_sec before threads)\n",
                      path.c_str());
         std::exit(2);
       }
@@ -215,8 +217,8 @@ std::vector<BaselineEntry> parseBaseline(const std::string& path) {
   return result;
 }
 
-/// The perf-trajectory gate: fail when any thread count's events/s fell
-/// more than 15% below the checked-in baseline.
+/// The perf-trajectory gate: fail when any thread count's sim-packets/s
+/// fell more than 15% below the checked-in baseline.
 int checkBaseline(const std::string& path, const std::vector<RunResult>& runs) {
   constexpr double kMaxRegression = 0.15;
   const auto baseline = parseBaseline(path);
@@ -225,7 +227,7 @@ int checkBaseline(const std::string& path, const std::vector<RunResult>& runs) {
     double base = 0.0;
     for (const BaselineEntry& b : baseline) {
       if (b.threads == r.threads) {
-        base = b.events_per_sec;
+        base = b.sim_packets_per_sec;
       }
     }
     if (base <= 0.0) {
@@ -233,10 +235,10 @@ int checkBaseline(const std::string& path, const std::vector<RunResult>& runs) {
                   r.threads);
       continue;
     }
-    const double ratio = r.eventsPerSec() / base;
-    std::printf("  perf gate: threads=%d %12.0f events/s vs "
+    const double ratio = r.packetsPerSec() / base;
+    std::printf("  perf gate: threads=%d %12.0f sim-packets/s vs "
                 "baseline %12.0f (%+.1f%%)\n",
-                r.threads, r.eventsPerSec(), base,
+                r.threads, r.packetsPerSec(), base,
                 100.0 * (ratio - 1.0));
     if (ratio < 1.0 - kMaxRegression) {
       std::fprintf(stderr,

@@ -34,8 +34,9 @@
 #      simulates identical event/packet/round counts; each row also
 #      reports the shard runtime's critical path and the speedup
 #      ceiling it implies) writes BENCH_engine.json
-#      and is compared against the checked-in one; events/s more than
-#      15% below baseline fails.  The binary self-skips the
+#      and is compared against the checked-in one; sim packets/s more
+#      than 15% below baseline fails (packets, not events, so fusing
+#      events is not read as a regression).  The binary self-skips the
 #      comparison under VINI_SMOKE (smoke runs are too short to be
 #      stable), so exporting VINI_SMOKE=1 before check.sh skips it
 #   5h. sharded-engine determinism gate: the canned vini_timeline
@@ -150,11 +151,11 @@ diff build-check/MIGRATION_report.json build-check/migration-run-2.json || {
 
 # --- 5g. Perf-trajectory gate -------------------------------------------------
 # Compare a fresh full-fidelity run against the checked-in baseline;
-# bench_engine exits nonzero when events/s regresses more than 15%, or
+# bench_engine exits nonzero when sim packets/s regresses more than 15%, or
 # when two sharded thread counts disagree on events, packets or rounds.
 # Under VINI_SMOKE (exported by the caller) the binary self-skips the
 # comparison, so smoke invocations of this script stay fast and stable.
-stage "bench_engine --baseline BENCH_engine.json (>15% events/s regression fails)"
+stage "bench_engine --baseline BENCH_engine.json (>15% sim packets/s regression fails)"
 (cd build-check && ./bench/bench_engine \
   --baseline ../BENCH_engine.json --out BENCH_engine.json)
 

@@ -224,59 +224,6 @@ void checkExperimentScript(const std::vector<topo::ExperimentAction>& actions,
   }
 }
 
-void checkLinkTrace(const std::vector<topo::LinkEvent>& events, Report& report,
-                    const core::TopologySpec* topology) {
-  std::unique_ptr<TopologyIndex> index;
-  if (topology != nullptr) index = std::make_unique<TopologyIndex>(*topology);
-
-  double last_time = 0.0;
-  bool first = true;
-  // Links start up; the trace format encodes transitions only.
-  std::set<std::pair<std::string, std::string>> down;
-
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const topo::LinkEvent& event = events[i];
-    std::ostringstream where_os;
-    where_os << "trace event " << (i + 1) << " (t=" << event.at_seconds << " "
-             << describeLink(event.a, event.b) << " "
-             << (event.up ? "up" : "down") << ")";
-    const std::string where = where_os.str();
-
-    // V020: replayable traces must be time-sorted.
-    if (!first && event.at_seconds < last_time) {
-      report.error("V020", where,
-                   "timestamp moves backwards (previous event at " +
-                       std::to_string(last_time) + "s)");
-    }
-    first = false;
-    last_time = std::max(last_time, event.at_seconds);
-
-    // V021: the link must exist.
-    if (index != nullptr && !index->hasLink(event.a, event.b)) {
-      report.error("V021", where,
-                   "trace references unknown link " +
-                       describeLink(event.a, event.b));
-      continue;
-    }
-
-    // V022: state transitions must alternate.
-    const auto key = linkKey(event.a, event.b);
-    if (!event.up) {
-      if (!down.insert(key).second) {
-        report.error("V022", where,
-                     "link " + describeLink(event.a, event.b) +
-                         " goes down while already down");
-      }
-    } else {
-      if (down.erase(key) == 0) {
-        report.warning("V022", where,
-                       "link " + describeLink(event.a, event.b) +
-                           " comes up while already up");
-      }
-    }
-  }
-}
-
 void checkFaultSchedule(const fault::FaultSchedule& schedule, Report& report,
                         const core::TopologySpec* topology) {
   std::unique_ptr<TopologyIndex> index;
@@ -351,7 +298,7 @@ void checkFaultSchedule(const fault::FaultSchedule& schedule, Report& report,
         }
         const auto key = linkKey(event.a, event.b);
         if (event.kind == fault::FaultKind::kLinkDown) {
-          // V112: down/up must alternate (mirrors V022 for plain traces).
+          // V112: down/up must alternate.
           if (!links_down.insert(key).second) {
             report.error("V112", where,
                          "link goes down while already down");

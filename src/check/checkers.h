@@ -29,11 +29,9 @@
 //           (virtual verbs with no IIAS overlay, phys verbs with no
 //           substrate)
 //
-//   Failure traces (checkLinkTrace)
-//     V020  non-monotonic timestamps
-//     V021  event references an unknown link
-//     V022  down event for an already-down link (error) / up event for
-//           an already-up link (warning)
+//   V020-V022 (the retired link-trace checker's codes) are never
+//   reused: plain link up/down traces are fault schedules and report
+//   V110/V112/V113 below.
 //
 //   Fault schedules (checkFaultSchedule)
 //     V110  event references an unknown node, link, or SRLG (or an SRLG
@@ -42,9 +40,10 @@
 //           bandwidth, negative delay, or no parameters at all)
 //     V112  lifecycle overlap (crash of an already-crashed node, restart
 //           of a node that never crashed, down of an already-down link
-//           or SRLG, restart of a never-killed process; re-kill of an
-//           already-killed process is a warning — the supervisor may
-//           have restarted it off-trace)
+//           or SRLG, restart of a never-killed process; up of an
+//           already-up link or SRLG is a warning, and so is re-kill of
+//           an already-killed process — the supervisor may have
+//           restarted it off-trace)
 //     V113  non-monotonic timestamps
 //
 //   Node / link / scheduler configs
@@ -72,7 +71,6 @@
 #include "phys/link.h"
 #include "phys/network.h"
 #include "topo/experiment_spec.h"
-#include "topo/failure_trace.h"
 
 namespace vini::check {
 
@@ -99,11 +97,6 @@ struct ScriptContext {
 /// Validate an experiment script (V010-V014).
 void checkExperimentScript(const std::vector<topo::ExperimentAction>& actions,
                            const ScriptContext& context, Report& report);
-
-/// Validate a failure trace (V020-V022).  `topology` resolves link
-/// references; null disables V021.
-void checkLinkTrace(const std::vector<topo::LinkEvent>& events, Report& report,
-                    const core::TopologySpec* topology = nullptr);
 
 /// Validate a fault schedule (V110-V113).  `topology` resolves node and
 /// link references; null disables that part of V110 (SRLG references

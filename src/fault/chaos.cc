@@ -121,14 +121,13 @@ void auditDeadTimers(topo::World& world, check::Report& report) {
 
 CampaignModel denseCampaignModel(std::uint64_t seed) {
   CampaignModel model;
-  model.link.mttf_seconds = 60.0;
-  model.link.mttr_seconds = 15.0;
-  model.link.seed = seed;
+  model.seed = seed;
+  model.link = FaultClassModel{true, 60.0, 15.0};
   model.degrade = FaultClassModel{true, 80.0, 20.0};
   model.node = FaultClassModel{true, 150.0, 30.0};
   model.proc = FaultClassModel{true, 70.0, 0.0};
   // Dense enough for a handful of moves per router; stays disabled
-  // until a campaign opts in (ChaosOptions::include_migrations).
+  // until a campaign opts in (model.migrate.enabled).
   model.migrate = FaultClassModel{false, 45.0, 0.0};
   model.degrade_loss = 0.15;
   model.degrade_delay_seconds = 0.03;
@@ -150,9 +149,11 @@ ChaosReport runChaosCampaign(topo::World& world, const ChaosOptions& options) {
     return report;
   }
 
-  // What the campaign may break.
+  // What the campaign may break: only the enabled classes' targets.
+  CampaignModel model = options.model;
+  model.seed = options.seed;
   CampaignTargets targets;
-  if (options.include_link_faults || options.include_degrades) {
+  if (model.link.enabled || model.degrade.enabled) {
     for (const auto& link : world.net.links()) {
       targets.links.push_back(link->name());
     }
@@ -160,20 +161,20 @@ ChaosReport runChaosCampaign(topo::World& world, const ChaosOptions& options) {
   bool has_ospf = false, has_rip = false, has_bgp = false;
   for (const auto& router : world.iias->routers()) {
     const std::string phys_name = router->vnode().physNode().name();
-    if (options.include_node_crashes) targets.nodes.push_back(phys_name);
-    if (options.include_proc_faults) {
+    if (model.node.enabled) targets.nodes.push_back(phys_name);
+    if (model.proc.enabled) {
       targets.proc_nodes.push_back(router->vnode().name());
     }
     has_ospf = has_ospf || router->xorp().ospf() != nullptr;
     has_rip = has_rip || router->xorp().rip() != nullptr;
     has_bgp = has_bgp || router->xorp().bgp() != nullptr;
   }
-  if (options.include_proc_faults) {
+  if (model.proc.enabled) {
     if (has_ospf) targets.proc_classes.push_back(ProcClass::kOspf);
     if (has_rip) targets.proc_classes.push_back(ProcClass::kRip);
     if (has_bgp) targets.proc_classes.push_back(ProcClass::kBgp);
   }
-  if (options.include_migrations) {
+  if (model.migrate.enabled) {
     // Spares = substrate nodes hosting no overlay router, in network
     // order; each router pairs with one spare and ping-pongs between
     // its home and that spare for the whole campaign.
@@ -193,15 +194,6 @@ ChaosReport runChaosCampaign(topo::World& world, const ChaosOptions& options) {
     }
   }
 
-  CampaignModel model = options.model;
-  model.link.seed = options.seed;
-  if (!options.include_link_faults) model.link.mttf_seconds = 0;
-  model.degrade.enabled = model.degrade.enabled && options.include_degrades;
-  model.node.enabled = model.node.enabled && options.include_node_crashes;
-  model.proc.enabled = model.proc.enabled && options.include_proc_faults;
-  model.migrate.enabled =
-      options.include_migrations && !targets.migrations.empty();
-
   const FaultSchedule schedule =
       generateFaultCampaign(targets, options.duration_seconds, model);
   report.fault_event_count = schedule.events.size();
@@ -213,11 +205,11 @@ ChaosReport runChaosCampaign(topo::World& world, const ChaosOptions& options) {
   FaultInjector injector(world.schedule, world.net, world.iias.get(),
                          &supervisor);
   std::unique_ptr<migrate::MigrationManager> migrations;
-  if (options.include_migrations) {
+  if (model.migrate.enabled) {
     migrate::MigrationPolicy policy = options.migration;
     policy.seed =
         options.migration.seed ^ (options.seed * 0x9e3779b97f4a7c15ull);
-    policy.default_budget_ms = options.model.migrate_budget_ms;
+    policy.default_budget_ms = model.migrate_budget_ms;
     migrations = std::make_unique<migrate::MigrationManager>(
         world.queue, world.net, *world.vini, *world.iias, policy);
     migrations->setDaemonForget(

@@ -33,18 +33,14 @@ struct ChaosOptions {
   double duration_seconds = 120.0;
   /// Per-class availability models; mttf/mttr are interpreted against
   /// duration_seconds, so defaults here are chaos-dense, not realistic.
-  CampaignModel model;
-  bool include_link_faults = true;
-  bool include_degrades = true;
-  bool include_node_crashes = true;
-  bool include_proc_faults = true;
-  SupervisorConfig supervisor;
-  /// Live migrations during the storm.  Off by default: the world needs
+  /// Each class's `enabled` is its one switch; `seed` overrides
+  /// model.seed.  Live migrations (model.migrate, off by default) need
   /// spare substrate nodes (topo::WorldOptions::spare_nodes) to host
   /// them; with no spares the class stays silent even when enabled.
   /// The migrate class is appended after every other fault class, so
   /// enabling it leaves existing seeded schedules byte-identical.
-  bool include_migrations = false;
+  CampaignModel model;
+  SupervisorConfig supervisor;
   migrate::MigrationPolicy migration;
   /// Extra settle time beyond the last fault before auditing; 0 derives
   /// a bound from the routers' dead interval and the supervisor backoff.
@@ -59,9 +55,9 @@ struct ChaosReport {
   bool converged = false;
   std::size_t fault_event_count = 0;
   std::uint64_t supervised_restarts = 0;
-  /// Migration accounting (present only when include_migrations was
-  /// set; format() omits the line otherwise so legacy reports stay
-  /// byte-identical).
+  /// Migration accounting (present only when model.migrate was
+  /// enabled; format() omits the line otherwise, so enabling the class
+  /// changes no migration-free campaign's report).
   bool migrations_enabled = false;
   std::size_t migrations_requested = 0;
   std::size_t migrations_completed = 0;

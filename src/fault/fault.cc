@@ -36,31 +36,6 @@ const char* procClassName(ProcClass proc) {
   return "?";
 }
 
-bool FaultSchedule::linkEventsOnly() const {
-  if (!srlgs.empty()) return false;
-  for (const auto& event : events) {
-    if (event.kind != FaultKind::kLinkDown && event.kind != FaultKind::kLinkUp) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<topo::LinkEvent> FaultSchedule::asLinkEvents() const {
-  std::vector<topo::LinkEvent> out;
-  out.reserve(events.size());
-  for (const auto& event : events) {
-    if (event.kind != FaultKind::kLinkDown && event.kind != FaultKind::kLinkUp) {
-      throw std::runtime_error("schedule is not expressible as a link trace: " +
-                               std::string(faultKindName(event.kind)) +
-                               " event present");
-    }
-    out.push_back(topo::LinkEvent{event.at_seconds, event.a, event.b,
-                                  event.kind == FaultKind::kLinkUp});
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Serialization
 
@@ -311,9 +286,8 @@ FaultSchedule parseFaultSchedule(const std::string& text) {
 namespace {
 
 /// Alternating up/down timeline for one entity: emits (time, failed)
-/// transitions with the same horizon discipline as generateFailureTrace —
-/// strictly advancing time, failures only inside the horizon, the final
-/// repair allowed to cross it.
+/// transitions with strictly advancing time, failures only inside the
+/// horizon, the final repair allowed to cross it.
 template <typename Emit>
 void runTimeline(sim::Random& random, double duration_seconds,
                  double mttf_seconds, double mttr_seconds, Emit&& emit) {
@@ -343,13 +317,23 @@ std::pair<std::string, std::string> splitLinkName(const std::string& name) {
 FaultSchedule generateFaultCampaign(const CampaignTargets& targets,
                                     double duration_seconds,
                                     const CampaignModel& model) {
+  // A zero mean time to failure draws zero dwells: the timeline would
+  // crawl to the horizon in 1 ns steps.  `enabled` is the off switch.
+  for (const FaultClassModel* fault_class :
+       {&model.link, &model.degrade, &model.node, &model.proc,
+        &model.migrate}) {
+    if (fault_class->enabled && !(fault_class->mttf_seconds > 0)) {
+      throw std::invalid_argument(
+          "campaign fault class enabled with nonpositive mttf_seconds");
+    }
+  }
   FaultSchedule schedule;
   if (duration_seconds <= 0) return schedule;
   // One forked stream per timeline, drawn in a fixed order: adding a
   // fault class never perturbs the draws of another.
-  sim::Random master(model.link.seed);
+  sim::Random master(model.seed);
 
-  if (model.link.mttf_seconds > 0) {
+  if (model.link.enabled) {
     for (const auto& name : targets.links) {
       const auto [a, b] = splitLinkName(name);
       sim::Random stream = master.fork();

@@ -1,17 +1,18 @@
 // Fault schedules: the general fault-injection grammar.
 //
 // Section 4 promises researchers they can "inject failures" and
-// Section 6.2 asks for playback of real-world event traces.  The link
-// up/down trace in topo/failure_trace.* covers only one fault class;
-// this module generalizes it into a *fault schedule* covering
-// everything a deployment actually suffers: whole-node crashes, routing
-// daemon kills (with supervised restart), degraded links (extra loss,
-// inflated delay, reduced bandwidth — runtime-mutable LinkConfig), and
-// correlated failures through shared-risk link groups (SRLGs: one
-// conduit cut takes every fiber in it down atomically).
+// Section 6.2 asks for playback of real-world event traces.  A *fault
+// schedule* covers everything a deployment actually suffers: plain link
+// up/down faults, whole-node crashes, routing daemon kills (with
+// supervised restart), degraded links (extra loss, inflated delay,
+// reduced bandwidth — runtime-mutable LinkConfig), and correlated
+// failures through shared-risk link groups (SRLGs: one conduit cut
+// takes every fiber in it down atomically).  Every `.trace` file takes
+// this one path: parseFaultSchedule reads it, check::checkFaultSchedule
+// lints it, generateFaultCampaign generates it, FaultInjector applies it.
 //
-// Trace format — a strict superset of the topo link trace.  Timeless
-// definition lines first (by convention), then one event per line:
+// Trace format.  Timeless definition lines first (by convention), then
+// one event per line:
 //
 //   srlg westcoast Seattle Sunnyvale         # add link to a named group
 //   srlg westcoast Seattle Denver
@@ -38,7 +39,6 @@
 #include <utility>
 #include <vector>
 
-#include "topo/failure_trace.h"
 
 namespace vini::fault {
 
@@ -89,12 +89,6 @@ struct FaultSchedule {
   /// name pairs).  A `srlg G down` event fails every member atomically.
   std::map<std::string, std::vector<std::pair<std::string, std::string>>> srlgs;
   std::vector<FaultEvent> events;
-
-  /// True when the schedule uses only plain link up/down events (and no
-  /// SRLGs) — i.e. it is expressible as a legacy topo link trace.
-  bool linkEventsOnly() const;
-  /// Convert to the legacy representation (requires linkEventsOnly()).
-  std::vector<topo::LinkEvent> asLinkEvents() const;
 };
 
 /// Serialize to / parse from the text format above.  parse throws
@@ -105,7 +99,9 @@ FaultSchedule parseFaultSchedule(const std::string& text);
 // -- Seeded campaign generation ---------------------------------------------
 
 /// One fault class's availability model (independent exponential
-/// time-to-failure / time-to-repair, like topo::FailureModel).
+/// time-to-failure / time-to-repair per entity).  A disabled class
+/// forks no random stream, so it leaves every other class's draws as
+/// they are.
 struct FaultClassModel {
   bool enabled = true;
   double mttf_seconds = 600.0;
@@ -115,9 +111,10 @@ struct FaultClassModel {
 };
 
 struct CampaignModel {
-  /// Plain link up/down faults (reuses the topo availability model; its
-  /// seed field seeds the whole campaign).
-  topo::FailureModel link;
+  /// Seeds the whole campaign.
+  std::uint64_t seed = 1;
+  /// Plain link up/down faults.
+  FaultClassModel link;
   FaultClassModel degrade{true, 900.0, 120.0};
   FaultClassModel node{true, 1200.0, 90.0};
   FaultClassModel proc{true, 600.0, 0.0};
@@ -152,11 +149,12 @@ struct CampaignTargets {
 };
 
 /// Generate a seeded fault campaign over [0, duration_seconds).  Each
-/// entity evolves through an explicit up/down state machine (the same
-/// horizon discipline as generateFailureTrace), so an entity never
-/// fails while already failed.  Events come back sorted by time;
+/// entity evolves through an explicit up/down state machine (failures
+/// only inside the horizon, the final repair allowed to cross it), so an
+/// entity never fails while already failed.  Events come back sorted by time;
 /// identical (targets, duration, model) always yields an identical
-/// schedule.
+/// schedule.  Throws std::invalid_argument when an enabled class has a
+/// nonpositive mttf_seconds.
 FaultSchedule generateFaultCampaign(const CampaignTargets& targets,
                                     double duration_seconds,
                                     const CampaignModel& model);

@@ -6,11 +6,11 @@
 #include "check/checkers.h"
 #include "check/diagnostic.h"
 #include "cpu/scheduler.h"
+#include "fault/fault.h"
 #include "phys/network.h"
 #include "sim/event_queue.h"
 #include "topo/abilene.h"
 #include "topo/experiment_spec.h"
-#include "topo/failure_trace.h"
 
 namespace {
 
@@ -44,13 +44,13 @@ TEST(Diagnostic, FormatsSeverityCodeLocationMessage) {
 TEST(Report, TracksErrorsAndCodes) {
   Report report;
   EXPECT_FALSE(report.hasErrors());
-  report.warning("V022", "trace event 1", "redundant up");
+  report.warning("V112", "fault event 1", "redundant up");
   EXPECT_FALSE(report.hasErrors());
-  report.error("V020", "trace event 2", "time went backwards");
+  report.error("V113", "fault event 2", "time went backwards");
   EXPECT_TRUE(report.hasErrors());
   EXPECT_EQ(report.countErrors(), 1u);
-  EXPECT_TRUE(report.hasCode("V020"));
-  EXPECT_TRUE(report.hasCode("V022"));
+  EXPECT_TRUE(report.hasCode("V113"));
+  EXPECT_TRUE(report.hasCode("V112"));
   EXPECT_FALSE(report.hasCode("V001"));
 }
 
@@ -251,55 +251,40 @@ TEST(CheckScript, V014VirtualVerbWithoutIias) {
 }
 
 // ---------------------------------------------------------------------------
-// Failure traces (V020-V022)
+// Plain link traces: fault schedules that only take links down and up
 
-TEST(CheckTrace, CleanTraceHasNoFindings) {
+TEST(CheckTrace, PlainLinkTracesReportFaultScheduleCodes) {
   const auto topology = topo::abileneMirrorSpec();
-  const auto events = topo::parseLinkTrace(
-      "t=10 link Denver KansasCity down\n"
-      "t=20 link Denver KansasCity up\n"
-      "t=30 link Chicago NewYork down\n"
-      "t=40 link Chicago NewYork up\n");
-  Report report;
-  check::checkLinkTrace(events, report, &topology);
-  EXPECT_TRUE(report.empty()) << report.format();
-}
-
-TEST(CheckTrace, V020NonMonotonicTimestamps) {
-  const auto events = topo::parseLinkTrace(
-      "t=20 link Denver KansasCity down\n"
-      "t=10 link Denver KansasCity up\n");
-  Report report;
-  check::checkLinkTrace(events, report);
-  EXPECT_TRUE(report.hasCode("V020")) << report.format();
-}
-
-TEST(CheckTrace, V021UnknownLink) {
-  const auto topology = topo::abileneMirrorSpec();
-  const auto events =
-      topo::parseLinkTrace("t=10 link Denver Miami down\n");
-  Report report;
-  check::checkLinkTrace(events, report, &topology);
-  EXPECT_TRUE(report.hasCode("V021")) << report.format();
-}
-
-TEST(CheckTrace, V022DoubleDownIsError) {
-  const auto events = topo::parseLinkTrace(
-      "t=10 link Denver KansasCity down\n"
-      "t=20 link Denver KansasCity down\n");
-  Report report;
-  check::checkLinkTrace(events, report);
-  EXPECT_TRUE(report.hasCode("V022")) << report.format();
-  EXPECT_TRUE(report.hasErrors());
-}
-
-TEST(CheckTrace, V022RedundantUpIsWarning) {
-  const auto events =
-      topo::parseLinkTrace("t=10 link Denver KansasCity up\n");
-  Report report;
-  check::checkLinkTrace(events, report);
-  EXPECT_TRUE(report.hasCode("V022")) << report.format();
-  EXPECT_FALSE(report.hasErrors());
+  const struct {
+    const char* text;
+    const char* code;  ///< nullptr: no findings at all
+    bool error;
+  } cases[] = {
+      {"t=10 link Denver KansasCity down\n"
+       "t=20 link Denver KansasCity up\n"
+       "t=30 link Chicago NewYork down\n"
+       "t=40 link Chicago NewYork up\n",
+       nullptr, false},
+      {"t=20 link Denver KansasCity down\n"
+       "t=10 link Denver KansasCity up\n",
+       "V113", true},
+      {"t=10 link Denver Miami down\n", "V110", true},
+      {"t=10 link Denver KansasCity down\n"
+       "t=20 link Denver KansasCity down\n",
+       "V112", true},
+      {"t=10 link Denver KansasCity up\n", "V112", false},
+  };
+  for (const auto& c : cases) {
+    Report report;
+    check::checkFaultSchedule(fault::parseFaultSchedule(c.text), report,
+                              &topology);
+    if (c.code == nullptr) {
+      EXPECT_TRUE(report.empty()) << report.format();
+      continue;
+    }
+    EXPECT_TRUE(report.hasCode(c.code)) << c.text << report.format();
+    EXPECT_EQ(report.hasErrors(), c.error) << c.text << report.format();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 // recovery of every protocol the chaos campaigns break.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -13,7 +14,7 @@
 #include "fault/injector.h"
 #include "fault/supervisor.h"
 #include "overlay/openvpn.h"
-#include "topo/failure_trace.h"
+#include "topo/abilene.h"
 #include "topo/worlds.h"
 #include "xorp/bgp.h"
 
@@ -81,21 +82,6 @@ TEST(FaultTrace, EmitParseRoundTripCoversEveryKind) {
   EXPECT_EQ(emitFaultSchedule(parsed), text);
 }
 
-TEST(FaultTrace, LegacyLinkTraceInterop) {
-  const std::string text =
-      "t=1 link A B down\n"
-      "t=2 link A B up\n";
-  const fault::FaultSchedule schedule = fault::parseFaultSchedule(text);
-  EXPECT_TRUE(schedule.linkEventsOnly());
-  const auto events = schedule.asLinkEvents();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_FALSE(events[0].up);
-  EXPECT_TRUE(events[1].up);
-
-  EXPECT_FALSE(everyKindSchedule().linkEventsOnly());
-  EXPECT_THROW(everyKindSchedule().asLinkEvents(), std::runtime_error);
-}
-
 /// Expect parse to throw and the message to carry both fragments
 /// (the line number and the offending text).
 void expectParseError(const std::string& text, const std::string& frag1,
@@ -117,60 +103,83 @@ TEST(FaultTrace, ParseErrorsNameLineAndOffendingText) {
   expectParseError("t=1 node N crash extra\n", "line 1", "extra");
   expectParseError("t=1 link A B degrade loss=wat\n", "line 1", "wat");
   expectParseError("t=1 proc N dhcp kill\n", "line 1", "dhcp");
-}
-
-TEST(FaultTrace, LegacyParseErrorsNameLineAndOffendingText) {
-  try {
-    topo::parseLinkTrace("t=1 link A B down\nnot a trace line\n");
-    FAIL() << "no exception";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("not a trace line"), std::string::npos) << what;
-  }
-  try {
-    topo::parseLinkTrace("t=1x link A B down\n");
-    FAIL() << "no exception";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("line 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("t=1x"), std::string::npos) << what;
-  }
+  // Malformed plain link lines.
+  expectParseError("t=x link A B down\n", "line 1", "t=x");
+  expectParseError("t=1x link A B down\n", "line 1", "t=1x");
+  expectParseError("t=soon link A B down\n", "line 1", "soon");
+  expectParseError("10 link A B down\n", "line 1", "10 link A B down");
+  expectParseError("t=10 edge A B down\n", "line 1", "edge");
+  expectParseError("t=1 link A B down\nnot a trace line\n", "line 2",
+                   "not a trace line");
+  expectParseError("t=10 link A B down\nt=20 link A B upward\n", "line 2",
+                   "upward");
+  // Truncated lines: missing state, endpoint, or everything after t=.
+  expectParseError("t=10 link A B\n", "line 1", "t=10 link A B");
+  expectParseError("t=10 link A\n", "line 1", "t=10 link A");
+  expectParseError("t=10\n", "line 1", "t=10");
+  // Comments and blank lines are not events.
+  EXPECT_TRUE(fault::parseFaultSchedule("# comment\n\n").events.empty());
 }
 
 // ---------------------------------------------------------------------------
 // Generators
 
-TEST(FaultTrace, GeneratedLinkTraceAlternatesPerLink) {
-  // Satellite of the horizon fix: a link must never fail while already
-  // down, for any seed — per-link events strictly alternate down/up.
-  auto world = topo::makeAbileneWorld();
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    topo::FailureModel model;
-    model.mttf_seconds = 40.0;
-    model.mttr_seconds = 30.0;  // repairs often cross the horizon
-    model.seed = seed;
-    const auto events = topo::generateFailureTrace(world->net, 300.0, model);
+TEST(FaultCampaign, LinkOnlyCampaignIsSortedAndAlternatesPerLink) {
+  // A link must never fail while already down, for any seed: per-link
+  // events strictly alternate down/up, failures land inside the
+  // horizon, and every failure gets its repair (possibly past it).
+  sim::EventQueue queue;
+  phys::PhysNetwork net(queue);
+  topo::buildAbilene(net);
+  fault::CampaignTargets targets;
+  for (const auto& link : net.links()) targets.links.push_back(link->name());
+  const struct {
+    std::uint64_t seed;
+    double duration, mttf, mttr;
+  } cases[] = {{5, 3600.0, 300.0, 30.0},
+               // Repairs often cross the horizon.
+               {1, 300.0, 40.0, 30.0},
+               {2, 300.0, 40.0, 30.0},
+               {3, 300.0, 40.0, 30.0},
+               {4, 300.0, 40.0, 30.0},
+               {5, 300.0, 40.0, 30.0}};
+  for (const auto& c : cases) {
+    fault::CampaignModel model;
+    model.seed = c.seed;
+    model.link = fault::FaultClassModel{true, c.mttf, c.mttr};
+    model.degrade.enabled = false;
+    model.node.enabled = false;
+    model.proc.enabled = false;
+    const auto schedule =
+        fault::generateFaultCampaign(targets, c.duration, model);
+    ASSERT_FALSE(schedule.events.empty()) << "seed " << c.seed;
     std::map<std::pair<std::string, std::string>, bool> down;
     double last = 0.0;
-    for (const auto& event : events) {
+    for (const auto& event : schedule.events) {
+      ASSERT_TRUE(event.kind == fault::FaultKind::kLinkDown ||
+                  event.kind == fault::FaultKind::kLinkUp);
+      const bool up = event.kind == fault::FaultKind::kLinkUp;
       EXPECT_GE(event.at_seconds, last);
       last = event.at_seconds;
-      auto key = std::make_pair(std::min(event.a, event.b),
-                                std::max(event.a, event.b));
-      EXPECT_NE(down[key], !event.up)
-          << "seed " << seed << ": link " << event.a << "-" << event.b
+      const auto key = std::make_pair(event.a, event.b);
+      EXPECT_NE(down[key], !up)
+          << "seed " << c.seed << ": link " << event.a << "-" << event.b
           << " repeats state at t=" << event.at_seconds;
-      down[key] = !event.up;
-      if (!event.up) {
-        EXPECT_LT(event.at_seconds, 300.0);
+      down[key] = !up;
+      if (!up) {
+        EXPECT_LT(event.at_seconds, c.duration);
       }
     }
-    // Every failure before the horizon got its repair.
     for (const auto& [key, is_down] : down) {
       EXPECT_FALSE(is_down) << key.first << "-" << key.second;
     }
   }
+  // `enabled` is the one off switch; a zero MTTF is rejected, not a
+  // second way to turn the class off.
+  fault::CampaignModel zero_mttf;
+  zero_mttf.link.mttf_seconds = 0;
+  EXPECT_THROW(fault::generateFaultCampaign(targets, 300.0, zero_mttf),
+               std::invalid_argument);
 }
 
 TEST(FaultCampaign, GeneratedCampaignIsDeterministicAndLints) {
@@ -220,6 +229,27 @@ TEST(CheckFaultSchedule, FlagsBadDegradeAndLifecycleAndOrder) {
   EXPECT_TRUE(report.hasCode("V111"));
   EXPECT_TRUE(report.hasCode("V112"));
   EXPECT_TRUE(report.hasCode("V113"));
+}
+
+// ---------------------------------------------------------------------------
+// Injection
+
+TEST(FaultInjector, LinkDownUpDrivesPhysicalLinks) {
+  sim::EventQueue queue;
+  phys::PhysNetwork net(queue);
+  topo::buildAbilene(net);
+  core::EventSchedule schedule(queue);
+  fault::FaultInjector injector(schedule, net);
+  injector.apply(fault::parseFaultSchedule(
+      "t=5 link Denver KansasCity down\nt=9 link Denver KansasCity up\n"));
+  phys::PhysLink* link = net.linkBetween("Denver", "KansasCity");
+  queue.runUntil(6 * kSecond);
+  EXPECT_FALSE(link->isUp());
+  queue.runUntil(10 * kSecond);
+  EXPECT_TRUE(link->isUp());
+  EXPECT_THROW(
+      injector.apply(fault::parseFaultSchedule("t=1 link No Where down\n")),
+      std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -411,9 +441,9 @@ TEST(FaultRecovery, EveryProcessClassSurvivesKillAndSupervisedRestart) {
   chaos.duration_seconds = 80.0;
   chaos.model = fault::denseCampaignModel(4);
   chaos.model.proc.mttf_seconds = 25.0;  // several kills per daemon
-  chaos.include_link_faults = false;
-  chaos.include_degrades = false;
-  chaos.include_node_crashes = false;
+  chaos.model.link.enabled = false;
+  chaos.model.degrade.enabled = false;
+  chaos.model.node.enabled = false;
   const fault::ChaosReport report = fault::runChaosCampaign(*world, chaos);
   EXPECT_TRUE(report.passed()) << report.format();
   for (const char* frag : {"ospf kill", "rip kill", "bgp kill",

@@ -252,7 +252,7 @@ TEST(Migration, ChaosCampaignWithMigrationsIsBitReproducible) {
     options.seed = 1;
     options.duration_seconds = 60.0;
     options.model = fault::denseCampaignModel(1);
-    options.include_migrations = true;
+    options.model.migrate.enabled = true;
     return fault::runChaosCampaign(*world, options);
   };
   const fault::ChaosReport a = run();

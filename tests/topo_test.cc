@@ -4,7 +4,6 @@
 
 #include "topo/abilene.h"
 #include "topo/experiment_spec.h"
-#include "topo/failure_trace.h"
 #include "topo/router_config.h"
 #include "topo/worlds.h"
 
@@ -218,98 +217,6 @@ TEST(ExperimentScript, DrivesPhysicalFailures) {
   EXPECT_FALSE(world->iias->slice().linkBetween("Src", "Fwdr")->isUp());
   world->queue.runUntil(141 * kSecond);
   EXPECT_TRUE(world->iias->slice().linkBetween("Src", "Fwdr")->isUp());
-}
-
-// ---------------------------------------------------------------------------
-// Failure traces
-
-TEST(FailureTrace, GeneratedEventsAreSortedAndPaired) {
-  sim::EventQueue queue;
-  phys::PhysNetwork net(queue);
-  buildAbilene(net);
-  FailureModel model;
-  model.mttf_seconds = 300;
-  model.mttr_seconds = 30;
-  model.seed = 5;
-  const auto events = generateFailureTrace(net, 3600.0, model);
-  ASSERT_FALSE(events.empty());
-  // Sorted by time.
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].at_seconds, events[i].at_seconds);
-  }
-  // Per link: strict alternation down/up starting with down.
-  std::map<std::pair<std::string, std::string>, bool> down;
-  int downs = 0;
-  int ups = 0;
-  for (const auto& event : events) {
-    auto key = std::make_pair(event.a, event.b);
-    if (event.up) {
-      ++ups;
-      EXPECT_TRUE(down[key]) << event.a << "-" << event.b;
-      down[key] = false;
-    } else {
-      ++downs;
-      EXPECT_FALSE(down[key]) << event.a << "-" << event.b;
-      down[key] = true;
-    }
-  }
-  // Every failure has its repair (repairs may land past the horizon).
-  EXPECT_EQ(downs, ups);
-}
-
-TEST(FailureTrace, EmitParseRoundTrip) {
-  std::vector<LinkEvent> events = {
-      {10.5, "Denver", "KansasCity", false},
-      {55.25, "Denver", "KansasCity", true},
-      {100.0, "Seattle", "Sunnyvale", false},
-  };
-  const auto parsed = parseLinkTrace(emitLinkTrace(events));
-  ASSERT_EQ(parsed.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_DOUBLE_EQ(parsed[i].at_seconds, events[i].at_seconds);
-    EXPECT_EQ(parsed[i].a, events[i].a);
-    EXPECT_EQ(parsed[i].b, events[i].b);
-    EXPECT_EQ(parsed[i].up, events[i].up);
-  }
-}
-
-TEST(FailureTrace, ParseRejectsMalformed) {
-  EXPECT_THROW(parseLinkTrace("t=x link A B down"), std::runtime_error);
-  EXPECT_THROW(parseLinkTrace("10 link A B down"), std::runtime_error);
-  EXPECT_THROW(parseLinkTrace("t=10 edge A B down"), std::runtime_error);
-  EXPECT_THROW(parseLinkTrace("t=10 link A B sideways"), std::runtime_error);
-  EXPECT_TRUE(parseLinkTrace("# comment\n\n").empty());
-}
-
-TEST(FailureTrace, ParseRejectsMissingFields) {
-  // Truncated lines: missing state, endpoint, or everything after t=.
-  EXPECT_THROW(parseLinkTrace("t=10 link A B"), std::runtime_error);
-  EXPECT_THROW(parseLinkTrace("t=10 link A"), std::runtime_error);
-  EXPECT_THROW(parseLinkTrace("t=10"), std::runtime_error);
-  // Non-numeric time survives the t= prefix but fails conversion.
-  EXPECT_THROW(parseLinkTrace("t=soon link A B down"), std::runtime_error);
-  // Garbage after a valid prefix on a later line is still caught.
-  EXPECT_THROW(
-      parseLinkTrace("t=10 link A B down\nt=20 link A B upward\n"),
-      std::runtime_error);
-}
-
-TEST(FailureTrace, ApplyDrivesPhysicalLinks) {
-  sim::EventQueue queue;
-  phys::PhysNetwork net(queue);
-  buildAbilene(net);
-  core::EventSchedule schedule(queue);
-  const auto events = parseLinkTrace(
-      "t=5 link Denver KansasCity down\nt=9 link Denver KansasCity up\n");
-  applyLinkTrace(events, schedule, net);
-  phys::PhysLink* link = net.linkBetween("Denver", "KansasCity");
-  queue.runUntil(6 * sim::kSecond);
-  EXPECT_FALSE(link->isUp());
-  queue.runUntil(10 * sim::kSecond);
-  EXPECT_TRUE(link->isUp());
-  EXPECT_THROW(applyLinkTrace(parseLinkTrace("t=1 link No Where down\n"),
-                              schedule, net),
-               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

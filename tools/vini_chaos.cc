@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   chaos.seed = seed;
   chaos.duration_seconds = duration_seconds;
   chaos.model = vini::fault::denseCampaignModel(seed);
-  chaos.include_migrations = migrate;
+  chaos.model.migrate.enabled = migrate;
 
   const vini::fault::ChaosReport report =
       vini::fault::runChaosCampaign(*world, chaos);

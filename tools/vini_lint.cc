@@ -3,9 +3,8 @@
 // Validates the three file formats users author — router configurations
 // (.conf, the rcc-style format of topo/router_config.h), experiment
 // scripts (.exp, topo/experiment_spec.h), and fault schedules (.trace,
-// fault/fault.h — a strict superset of the legacy link up/down trace of
-// topo/failure_trace.h) — and exits nonzero if any error-severity
-// diagnostic is found, so it can gate CI.
+// fault/fault.h, plain link up/down traces included) — and exits
+// nonzero if any error-severity diagnostic is found, so it can gate CI.
 //
 //   vini_lint [options] <file>...
 //
@@ -34,7 +33,6 @@
 #include "check/diagnostic.h"
 #include "fault/fault.h"
 #include "topo/experiment_spec.h"
-#include "topo/failure_trace.h"
 #include "topo/router_config.h"
 
 namespace {
@@ -139,16 +137,9 @@ int main(int argc, char** argv) {
       }
     } else if (endsWith(path, ".trace")) {
       try {
-        // The fault grammar is a strict superset of the legacy link
-        // trace; plain up/down traces keep their V02x codes.
-        const auto schedule = vini::fault::parseFaultSchedule(*text);
-        if (schedule.linkEventsOnly()) {
-          vini::check::checkLinkTrace(schedule.asLinkEvents(), report,
-                                      topology ? &*topology : nullptr);
-        } else {
-          vini::check::checkFaultSchedule(schedule, report,
-                                          topology ? &*topology : nullptr);
-        }
+        vini::check::checkFaultSchedule(vini::fault::parseFaultSchedule(*text),
+                                        report,
+                                        topology ? &*topology : nullptr);
       } catch (const std::exception& e) {
         report.error("V099", path, e.what());
       }

@@ -150,8 +150,7 @@ ChaosReport runChaosCampaign(topo::World& world, const ChaosOptions& options) {
   }
 
   // What the campaign may break: only the enabled classes' targets.
-  CampaignModel model = options.model;
-  model.seed = options.seed;
+  const CampaignModel& model = options.model;
   CampaignTargets targets;
   if (model.link.enabled || model.degrade.enabled) {
     for (const auto& link : world.net.links()) {
@@ -200,7 +199,7 @@ ChaosReport runChaosCampaign(topo::World& world, const ChaosOptions& options) {
 
   SupervisorConfig sup_config = options.supervisor;
   sup_config.seed = options.supervisor.seed ^
-                    (options.seed * 0x9e3779b97f4a7c15ull);
+                    (model.seed * 0x9e3779b97f4a7c15ull);
   Supervisor supervisor(world.queue, sup_config);
   FaultInjector injector(world.schedule, world.net, world.iias.get(),
                          &supervisor);
@@ -208,7 +207,7 @@ ChaosReport runChaosCampaign(topo::World& world, const ChaosOptions& options) {
   if (model.migrate.enabled) {
     migrate::MigrationPolicy policy = options.migration;
     policy.seed =
-        options.migration.seed ^ (options.seed * 0x9e3779b97f4a7c15ull);
+        options.migration.seed ^ (model.seed * 0x9e3779b97f4a7c15ull);
     policy.default_budget_ms = model.migrate_budget_ms;
     migrations = std::make_unique<migrate::MigrationManager>(
         world.queue, world.net, *world.vini, *world.iias, policy);

@@ -29,12 +29,12 @@
 namespace vini::fault {
 
 struct ChaosOptions {
-  std::uint64_t seed = 1;
   double duration_seconds = 120.0;
   /// Per-class availability models; mttf/mttr are interpreted against
   /// duration_seconds, so defaults here are chaos-dense, not realistic.
-  /// Each class's `enabled` is its one switch; `seed` overrides
-  /// model.seed.  Live migrations (model.migrate, off by default) need
+  /// Each class's `enabled` is its one switch; model.seed seeds the
+  /// campaign, and the supervisor and migration seeds derive from it.
+  /// Live migrations (model.migrate, off by default) need
   /// spare substrate nodes (topo::WorldOptions::spare_nodes) to host
   /// them; with no spares the class stays silent even when enabled.
   /// The migrate class is appended after every other fault class, so

@@ -437,7 +437,6 @@ TEST(FaultRecovery, EveryProcessClassSurvivesKillAndSupervisedRestart) {
   ASSERT_TRUE(world->runUntilConverged(60 * kSecond));
 
   fault::ChaosOptions chaos;
-  chaos.seed = 4;
   chaos.duration_seconds = 80.0;
   chaos.model = fault::denseCampaignModel(4);
   chaos.model.proc.mttf_seconds = 25.0;  // several kills per daemon
@@ -523,7 +522,6 @@ TEST(Chaos, ShortCampaignIsBitReproducibleAndClean) {
   auto run = [] {
     auto world = topo::makeDeterWorld();
     fault::ChaosOptions options;
-    options.seed = 3;
     options.duration_seconds = 30.0;
     options.model = fault::denseCampaignModel(3);
     return fault::runChaosCampaign(*world, options);

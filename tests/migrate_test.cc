@@ -249,7 +249,6 @@ TEST(Migration, ChaosCampaignWithMigrationsIsBitReproducible) {
   auto run = [] {
     auto world = topo::makeDeterWorld(spareOptions());
     fault::ChaosOptions options;
-    options.seed = 1;
     options.duration_seconds = 60.0;
     options.model = fault::denseCampaignModel(1);
     options.model.migrate.enabled = true;
@@ -274,7 +273,6 @@ TEST(Migration, SparesDoNotPerturbMigrationFreeCampaigns) {
     options.spare_nodes = spares;
     auto world = topo::makeDeterWorld(options);
     fault::ChaosOptions chaos;
-    chaos.seed = 3;
     chaos.duration_seconds = 30.0;
     chaos.model = fault::denseCampaignModel(3);
     return fault::runChaosCampaign(*world, chaos);

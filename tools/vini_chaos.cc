@@ -114,7 +114,6 @@ int main(int argc, char** argv) {
   }
 
   vini::fault::ChaosOptions chaos;
-  chaos.seed = seed;
   chaos.duration_seconds = duration_seconds;
   chaos.model = vini::fault::denseCampaignModel(seed);
   chaos.model.migrate.enabled = migrate;

@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the substrate's hot paths:
 // FIB longest-prefix match (per-length hash tables vs. a linear scan
 // baseline — the data-plane design choice), packet serialization, tunnel
-// encapsulation, checksums, the event queue, and RIB churn.
+// encapsulation, checksums, the event queue, RIB churn, and the random
+// streams' distributions.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -12,6 +13,7 @@
 #include "packet/checksum.h"
 #include "packet/packet.h"
 #include "sim/event_queue.h"
+#include "sim/random.h"
 #include "xorp/rib.h"
 
 namespace {
@@ -192,6 +194,32 @@ void BM_RibChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 512);
 }
 BENCHMARK(BM_RibChurn);
+
+// -- Random streams -----------------------------------------------------------
+// One draw per iteration from sim::Random: NIC jitter draws a normal per
+// packet and traffic and fault generators draw exponentials, so these
+// price the distributions that random.h writes out.
+
+void BM_RandomUniform01(benchmark::State& state) {
+  vini::sim::Random r(4711);
+  for (auto _ : state) benchmark::DoNotOptimize(r.uniform01());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RandomUniform01);
+
+void BM_RandomNormal(benchmark::State& state) {
+  vini::sim::Random r(4711);
+  for (auto _ : state) benchmark::DoNotOptimize(r.normal(10.0, 0.2));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RandomNormal);
+
+void BM_RandomExponential(benchmark::State& state) {
+  vini::sim::Random r(4711);
+  for (auto _ : state) benchmark::DoNotOptimize(r.exponential(4.0));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RandomExponential);
 
 // -- Observability overhead ---------------------------------------------------
 // These quantify the cost the instrumentation adds to hot paths, so a

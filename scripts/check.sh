@@ -13,8 +13,9 @@
 #   3. full ctest suite on the strict build
 #   4. vini_trace --self-test (VTRC binary format round trip)
 #   5. smoke-run the obs-ported benches (VINI_SMOKE=1): fig6, fig8, and
-#      the BM_Obs, BM_Fib, BM_Tunnel and BM_PacketBox micro-benchmarks
-#      (the last churns the per-thread packet cache).  These run with
+#      the BM_Obs, BM_Fib, BM_Tunnel, BM_PacketBox and BM_Random
+#      micro-benchmarks (BM_PacketBox churns the per-thread packet cache;
+#      BM_Random draws from sim::Random's distributions).  These run with
 #      a live metrics registry, so any metric registered twice with
 #      conflicting types aborts the bench (std::logic_error) and fails
 #      the gate.  They run
@@ -99,7 +100,7 @@ stage "vini_trace --self-test"
 stage "bench smoke (VINI_SMOKE=1)"
 (cd build-check && VINI_SMOKE=1 ./bench/bench_fig6_udp_loss > /dev/null)
 (cd build-check && VINI_SMOKE=1 ./bench/bench_fig8_ospf_convergence > /dev/null)
-(cd build-check && ./bench/bench_micro --benchmark_filter='BM_(Obs|Fib|Tunnel|PacketBox).*' \
+(cd build-check && ./bench/bench_micro --benchmark_filter='BM_(Obs|Fib|Tunnel|PacketBox|Random).*' \
   > /dev/null 2>&1)
 
 # --- 5b. Chaos smoke ----------------------------------------------------------

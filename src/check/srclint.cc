@@ -487,7 +487,10 @@ void ruleV202(const std::string& path, const Lexed& lx,
 }
 
 // V203: global or unseeded randomness.  Deterministic replay requires every
-// draw to come from a seeded, per-entity sim::Random stream.
+// draw to come from a seeded, per-entity sim::Random stream.  The <random>
+// distributions are flagged too: the standard leaves their algorithms to
+// each library, so a seeded stream drawn through them differs between
+// standard libraries (sim::Random writes its distributions out instead).
 void ruleV203(const std::string& path, const Lexed& lx,
               const std::vector<ScopeKind>& scopes,
               std::vector<SrcFinding>& out) {
@@ -495,6 +498,18 @@ void ruleV203(const std::string& path, const Lexed& lx,
       "mt19937",       "mt19937_64",   "minstd_rand", "minstd_rand0",
       "default_random_engine", "ranlux24", "ranlux48", "ranlux24_base",
       "ranlux48_base", "knuth_b"};
+  static const std::set<std::string> kLibraryDefined = {
+      "uniform_int_distribution",  "uniform_real_distribution",
+      "bernoulli_distribution",    "binomial_distribution",
+      "negative_binomial_distribution", "geometric_distribution",
+      "poisson_distribution",      "exponential_distribution",
+      "gamma_distribution",        "weibull_distribution",
+      "extreme_value_distribution", "normal_distribution",
+      "lognormal_distribution",    "chi_squared_distribution",
+      "cauchy_distribution",       "fisher_f_distribution",
+      "student_t_distribution",    "discrete_distribution",
+      "piecewise_constant_distribution", "piecewise_linear_distribution",
+      "generate_canonical"};
   const std::vector<Token>& toks = lx.tokens;
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const std::string& t = toks[i].text;
@@ -512,6 +527,12 @@ void ruleV203(const std::string& path, const Lexed& lx,
       emit(out, Severity::kError, "V203", path, toks[i].line,
            "std::random_device is nondeterministic by design; seed from the "
            "experiment's configured seed instead");
+      continue;
+    }
+    if (kLibraryDefined.count(t)) {
+      emit(out, Severity::kError, "V203", path, toks[i].line,
+           "std::" + t + " draws by an algorithm each standard library "
+           "chooses; use sim::Random's specified distributions");
       continue;
     }
     if (kEngines.count(t) && scopes[i] == ScopeKind::kFunction &&
@@ -1001,6 +1022,15 @@ bool srclintSelfTest(std::ostream& os) {
        "int f() { return std::rand(); }\n"},
       {"v203-unseeded-local-engine", "V203", true, Severity::kError,
        "int f() { std::mt19937_64 rng; return (int)rng(); }\n"},
+      {"v203-library-distribution", "V203", true, Severity::kError,
+       "double f(std::mt19937_64& rng) {\n"
+       "  return std::normal_distribution<double>(0.0, 1.0)(rng);\n"
+       "}\n"},
+      {"v203-specified-distribution-is-fine", "V203", false, Severity::kError,
+       "double f(std::mt19937_64& rng, Random& r) {\n"
+       "  const double u = static_cast<double>(rng() >> 11) * 0x1.0p-53;\n"
+       "  return u + r.normal(0.0, 1.0);\n"
+       "}\n"},
       {"v203-class-member-engine-is-fine", "V203", false, Severity::kError,
        "class Random {\n"
        " public:\n"

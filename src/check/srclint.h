@@ -35,8 +35,10 @@
 //         baseline allowlist
 //   V203  global or unseeded randomness (rand(), srand(),
 //         std::random_device, a function-local engine constructed
-//         without a seed) — sim paths draw from the seeded per-entity
-//         sim::Random streams
+//         without a seed) or a library-defined <random> distribution
+//         (std::*_distribution, std::generate_canonical) — sim paths
+//         draw from the seeded per-entity sim::Random streams, whose
+//         distributions are specified in sim/random.h
 //   V204  function-local or namespace-scope mutable static state
 //         (non-const static locals, namespace-scope mutable globals)
 //   V205  shared_ptr::use_count()-dependent logic (a race once the

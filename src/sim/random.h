@@ -4,8 +4,15 @@
 // guarantees exist "to ensure repeatability of the experiments"), so every
 // stochastic component draws from an explicitly seeded generator owned by
 // the experiment, never from global state.
+//
+// The streams are defined by this file plus std::mt19937_64, whose output
+// the C++ standard fixes bit for bit.  The distributions are written out
+// here rather than taken from <random>, whose algorithms the standard
+// leaves to each library, so the same seed draws the same values under
+// any conforming standard library.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 
@@ -18,25 +25,38 @@ class Random {
  public:
   explicit Random(std::uint64_t seed) : engine_(seed) {}
 
-  /// Uniform double in [0, 1).
-  double uniform01() { return unit_(engine_); }
+  /// Uniform double in [0, 1): the engine's top 53 bits times 2^-53.
+  double uniform01() {
+    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniformInt(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
-  }
-
-  /// Exponential with the given mean (> 0).
+  /// Exponential with the given mean (> 0), by inversion; 1 - u is exact
+  /// on the 53-bit grid and never 0.
   double exponential(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+    return -mean * std::log(1.0 - uniform01());
   }
 
-  /// Normal with the given mean and standard deviation.
+  /// Normal with the given mean and standard deviation, by Marsaglia's
+  /// polar method.  Each accepted pair yields two standard normals; the
+  /// second is kept as a spare and returned by the next call.
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    if (has_spare_) {
+      has_spare_ = false;
+      return mean + stddev * spare_;
+    }
+    double x = 0.0, y = 0.0, s = 0.0;
+    do {
+      x = 2.0 * uniform01() - 1.0;
+      y = 2.0 * uniform01() - 1.0;
+      s = x * x + y * y;
+    } while (s >= 1.0 || s == 0.0);
+    const double scale = std::sqrt(-2.0 * std::log(s) / s);
+    spare_ = y * scale;
+    has_spare_ = true;
+    return mean + stddev * (x * scale);
   }
 
   /// Bernoulli trial with probability p of returning true.
@@ -55,12 +75,14 @@ class Random {
     return d;
   }
 
-  /// Derive an independent child generator (stable given call order).
+  /// Derive an independent child generator (stable given call order),
+  /// seeded from one engine draw; the child starts with no spare.
   Random fork() { return Random(engine_()); }
 
  private:
   std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+  double spare_ = 0.0;  // the polar method's second value, while has_spare_
+  bool has_spare_ = false;
 };
 
 }  // namespace vini::sim

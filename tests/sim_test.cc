@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -437,14 +440,6 @@ TEST(Random, UniformBounds) {
   }
 }
 
-TEST(Random, ExponentialMeanIsApproximatelyRight) {
-  Random r(11);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += r.exponential(4.0);
-  EXPECT_NEAR(sum / n, 4.0, 0.15);
-}
-
 TEST(Random, ExponentialDurationRespectsCap) {
   Random r(13);
   for (int i = 0; i < 1000; ++i) {
@@ -464,6 +459,155 @@ TEST(Random, UniformDurationDegenerateRange) {
   Random r(19);
   EXPECT_EQ(r.uniformDuration(5, 5), 5);
   EXPECT_EQ(r.uniformDuration(5, 3), 5);
+}
+
+// The streams are defined by sim/random.h plus std::mt19937_64, so the
+// first draws of a seed are pinned bit for bit: a change to any of them
+// is a deliberate re-baseline of every experiment, never a side effect.
+struct PinnedStream {
+  std::uint64_t seed;
+  double uniform01[8];
+  double normal[8];       // normal(0, 1)
+  double exponential[8];  // exponential(1)
+};
+
+constexpr PinnedStream kPinnedStreams[] = {
+    {1,
+     {0x1.122deafddb434p-3, 0x1.175c928118c7cp-3, 0x1.ce0b479deb99p-2,
+      0x1.5876015e4d7p-6, 0x1.6751d5cbb3f18p-2, 0x1.d29d85a57326dp-1,
+      0x1.e20cd8d6456f4p-2, 0x1.30d84f91bf148p-4},
+     {-0x1.42c3b2b722171p-5, -0x1.8c1da014dda09p-2, -0x1.fdd85e535a47ap-3,
+      0x1.5fa75918ca312p-1, -0x1.bfaac17196978p-5, -0x1.971d689089fdbp-1,
+      0x1.003e6b2410a3cp+0, 0x1.f01d3e119ca68p+0},
+     {0x1.265ad52cffb28p-3, 0x1.2c58ca2fd58bdp-3, 0x1.333989e536853p-1,
+      0x1.5c222f8b340b3p-6, 0x1.ba899d790093ep-2, 0x1.3629c7c1ba213p+1,
+      0x1.45c8e755e80e7p-1, 0x1.3cc9081d6bba7p-4}},
+    {4711,
+     {0x1.9c9a25ad97194p-1, 0x1.5cbb1127d7a98p-4, 0x1.467a877ecea23p-1,
+      0x1.945804e139522p-1, 0x1.e073f5e36a2e4p-1, 0x1.80adfc12613c1p-1,
+      0x1.8e31f8f8b8c9cp-1, 0x1.3dbf94babc04p-5},
+     {0x1.24c4b521bfce8p-1, 0x1.341c3c128dc77p+0, 0x1.e7973a3cea694p-3,
+      -0x1.fbc9186de2f9dp-3, -0x1.6d936045e72e4p-1, 0x1.d6b88a24cac43p-1,
+      -0x1.33f4c9c7454f8p-1, -0x1.87f2866b51188p-1},
+     {0x1.a3a2380d918c2p+0, 0x1.6c79f87fcbebp-4, 0x1.03e12b1da747ep+0,
+      0x1.8f33a93ebbb53p+0, 0x1.64b757eed8f26p+1, 0x1.64411568e04ffp+0,
+      0x1.80fba8067f0abp+0, 0x1.44132970f4e09p-5}},
+};
+
+TEST(Random, FirstDrawsArePinned) {
+  for (const PinnedStream& pin : kPinnedStreams) {
+    Random u(pin.seed), n(pin.seed), e(pin.seed);
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(u.uniform01(), pin.uniform01[i]) << "seed " << pin.seed << " #" << i;
+      EXPECT_EQ(n.normal(0.0, 1.0), pin.normal[i]) << "seed " << pin.seed << " #" << i;
+      EXPECT_EQ(e.exponential(1.0), pin.exponential[i])
+          << "seed " << pin.seed << " #" << i;
+    }
+  }
+}
+
+TEST(Random, EngineIsTheStandardMt19937_64) {
+  // The standard requires the 10000th output of a default-constructed
+  // mt19937_64 (seed 5489) to be 9981545732273789042.
+  std::mt19937_64 engine;
+  engine.discard(9999);
+  EXPECT_EQ(engine(), 9981545732273789042ull);
+  // uniform01 is that output's top 53 bits scaled by 2^-53.
+  Random r(5489);
+  for (int i = 0; i < 9999; ++i) r.uniform01();
+  EXPECT_EQ(r.uniform01(), static_cast<double>(9981545732273789042ull >> 11) * 0x1.0p-53);
+}
+
+TEST(Random, NormalSpareIsConsumedByTheNextCall) {
+  // Replay the polar method by hand from the same seed's uniforms: the
+  // first call returns x * scale and the second returns the spare
+  // y * scale without drawing from the engine.
+  Random r(4711);
+  Random u(4711);
+  double x = 0.0, y = 0.0, s = 0.0;
+  do {
+    x = 2.0 * u.uniform01() - 1.0;
+    y = 2.0 * u.uniform01() - 1.0;
+    s = x * x + y * y;
+  } while (s >= 1.0 || s == 0.0);
+  const double scale = std::sqrt(-2.0 * std::log(s) / s);
+  EXPECT_EQ(r.normal(0.0, 1.0), x * scale);
+  EXPECT_EQ(r.normal(0.0, 1.0), y * scale);
+  // The pair used up the engine draws; the next uniform is the same one.
+  EXPECT_EQ(r.uniform01(), u.uniform01());
+  // The spare is stored unscaled: mean and stddev apply per call.
+  Random a(9), b(9);
+  const double first = a.normal(0.0, 1.0);
+  EXPECT_EQ(b.normal(5.0, 2.0), 5.0 + 2.0 * first);
+  EXPECT_EQ(b.normal(5.0, 2.0), 5.0 + 2.0 * a.normal(0.0, 1.0));
+}
+
+TEST(Random, ForkStartsWithNoSpare) {
+  // Both parents have the same engine state; only `with` holds a spare.
+  Random with(77), without(77);
+  with.normal(0.0, 1.0);
+  without.normal(0.0, 1.0);
+  const double spare = without.normal(0.0, 1.0);
+  Random a = with.fork();
+  Random b = without.fork();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.normal(0.0, 1.0), b.normal(0.0, 1.0));
+  // The parent keeps its own spare across the fork.
+  EXPECT_EQ(with.normal(0.0, 1.0), spare);
+}
+
+// Kolmogorov-Smirnov distance between the sorted sample and a CDF.
+double ksDistance(std::vector<double> xs, const std::function<double(double)>& cdf) {
+  std::sort(xs.begin(), xs.end());
+  const double n = static_cast<double>(xs.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double f = cdf(xs[i]);
+    d = std::max({d, f - static_cast<double>(i) / n,
+                  static_cast<double>(i + 1) / n - f});
+  }
+  return d;
+}
+
+// Each distribution over 3 seeds x 200k draws.  Moment tolerances are 5
+// standard errors; the KS bound 1.95 / sqrt(n) is the 0.1% critical value.
+TEST(Random, DistributionsMatchMomentsAndKs) {
+  struct Case {
+    const char* name;
+    std::function<double(Random&)> draw;
+    std::function<double(double)> cdf;
+    double mean, variance;
+    double mean_se, variance_se;
+  };
+  const Case cases[] = {
+      // SE(mean) = sqrt(1/12 / n); SE(var) = sqrt(1/180 / n).
+      {"uniform01", [](Random& r) { return r.uniform01(); },
+       [](double x) { return x; }, 0.5, 1.0 / 12.0, 6.5e-4, 1.7e-4},
+      // normal(3, 2): SE(mean) = 2 / sqrt(n); SE(var) = 4 * sqrt(2 / n).
+      {"normal", [](Random& r) { return r.normal(3.0, 2.0); },
+       [](double x) { return 0.5 * std::erfc(-(x - 3.0) / (2.0 * std::sqrt(2.0))); },
+       3.0, 4.0, 4.5e-3, 1.3e-2},
+      // exponential(4): SE(mean) = 4 / sqrt(n); SE(var) = 16 * sqrt(8 / n),
+      // the exponential's kurtosis being 9.
+      {"exponential", [](Random& r) { return r.exponential(4.0); },
+       [](double x) { return 1.0 - std::exp(-x / 4.0); }, 4.0, 16.0, 8.9e-3, 0.10},
+  };
+  constexpr int kDraws = 200000;
+  const double ks_bound = 1.95 / std::sqrt(static_cast<double>(kDraws));
+  for (const Case& c : cases) {
+    for (std::uint64_t seed : {1, 4711, 20061}) {
+      Random r(seed);
+      std::vector<double> xs(kDraws);
+      SampleStats stats;
+      for (double& x : xs) {
+        x = c.draw(r);
+        stats.add(x);
+      }
+      EXPECT_NEAR(stats.mean(), c.mean, 5 * c.mean_se) << c.name << " seed " << seed;
+      EXPECT_NEAR(stats.stddev() * stats.stddev(), c.variance, 5 * c.variance_se)
+          << c.name << " seed " << seed;
+      EXPECT_LT(ksDistance(xs, c.cdf), ks_bound) << c.name << " seed " << seed;
+    }
+  }
 }
 
 TEST(SampleStats, BasicMoments) {

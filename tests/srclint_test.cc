@@ -131,6 +131,38 @@ TEST(SrclintV203, SeededEnginesAndClassMembersAreClean) {
             nullptr);
 }
 
+TEST(SrclintV203, FlagsLibraryDefinedDistributions) {
+  // The standard fixes the engines' output but not the distributions'
+  // algorithms, so each of these draws differently per standard library.
+  for (const char* source :
+       {"double f(std::mt19937_64& g) {\n"
+        "  return std::normal_distribution<double>(0.0, 1.0)(g);\n"
+        "}\n",
+        "double f(std::mt19937_64& g) {\n"
+        "  std::uniform_real_distribution<double> unit{0.0, 1.0};\n"
+        "  return unit(g);\n"
+        "}\n",
+        "class R {\n"
+        "  std::exponential_distribution<double> exp_;\n"
+        "};\n",
+        "double f(std::mt19937_64& g) {\n"
+        "  return std::generate_canonical<double, 53>(g);\n"
+        "}\n"}) {
+    const auto findings = lintSource("x.cc", source);
+    const SrcFinding* f = findCode(findings, "V203");
+    ASSERT_NE(f, nullptr) << source;
+    EXPECT_EQ(f->severity, Severity::kError);
+  }
+  // Drawing through sim::Random, or scaling raw engine bits, is clean.
+  EXPECT_EQ(findCode(lintSource("x.cc",
+                                "double f(std::mt19937_64& g, Random& r) {\n"
+                                "  const double u = (g() >> 11) * 0x1.0p-53;\n"
+                                "  return u + r.normal(0.0, 1.0);\n"
+                                "}\n"),
+                     "V203"),
+            nullptr);
+}
+
 TEST(SrclintV204, FlagsMutableStaticState) {
   const auto local = lintSource("x.cc",
                                 "int next() {\n"

@@ -1,4 +1,4 @@
-// The Section 5.2 experiment, driven by an ns-like experiment script:
+// The Section 5.2 experiment, driven by a fault schedule:
 // IIAS mirrors the Abilene backbone (real topology, real IGP weights,
 // hello 5 s / dead 10 s); ping runs from Washington D.C. to Seattle; the
 // Denver-Kansas City virtual link fails at t=10 s and is restored at
@@ -9,7 +9,8 @@
 #include <cstdio>
 
 #include "app/ping.h"
-#include "topo/experiment_spec.h"
+#include "fault/fault.h"
+#include "fault/injector.h"
 #include "topo/worlds.h"
 
 using namespace vini;
@@ -28,20 +29,17 @@ int main() {
   const sim::Time t0 = world->queue.now();
   std::printf("converged (%zu total routes).\n\n", world->iias->totalOspfRoutes());
 
-  // The experiment, as a script (Section 6.2's "experiment specification").
-  const auto actions = topo::parseExperimentScript(R"(
+  // The experiment, as a fault schedule (Section 6.2's "experiment
+  // specification").
+  auto schedule = fault::parseFaultSchedule(R"(
     # Figure 8 schedule, relative to convergence time
-    at 10.0 fail-link    Denver KansasCity
-    at 34.0 restore-link Denver KansasCity
-    at 55.0 mark         end-of-run
+    t=10 vlink Denver KansasCity down
+    t=34 vlink Denver KansasCity up
   )");
-  // Rebase the script onto the converged clock.
-  for (auto action : actions) {
-    auto rebased = action;
-    rebased.at_seconds += sim::toSeconds(t0);
-    topo::applyExperimentScript({rebased}, world->schedule, world->iias.get(),
-                                &world->net);
-  }
+  // Rebase the schedule onto the converged clock.
+  for (auto& event : schedule.events) event.at_seconds += sim::toSeconds(t0);
+  fault::FaultInjector injector(world->schedule, world->net, world->iias.get());
+  injector.apply(schedule);
 
   app::Pinger::Options popt;
   popt.count = 110;

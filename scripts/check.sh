@@ -71,7 +71,7 @@ cmake --build build-check -j "$JOBS"
 stage "vini_lint examples/specs"
 ./build-check/tools/vini_lint \
   examples/specs/abilene.conf \
-  examples/specs/denver_failover.exp \
+  examples/specs/denver_failover.trace \
   examples/specs/maintenance.trace \
   examples/specs/chaos.trace
 ./build-check/tools/vini_lint examples/specs/deter.conf

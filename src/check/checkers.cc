@@ -132,98 +132,6 @@ void checkTopologySpec(const core::TopologySpec& spec, Report& report,
   }
 }
 
-void checkExperimentScript(const std::vector<topo::ExperimentAction>& actions,
-                           const ScriptContext& context, Report& report) {
-  // Actions execute in time order regardless of file order; ordering
-  // checks (V013) follow execution order, ties broken by file order.
-  std::vector<std::size_t> order(actions.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t x, std::size_t y) {
-                     return actions[x].at_seconds < actions[y].at_seconds;
-                   });
-
-  std::unique_ptr<TopologyIndex> index;
-  if (context.topology != nullptr) {
-    index = std::make_unique<TopologyIndex>(*context.topology);
-  }
-
-  // Per-layer link fail state, keyed by canonical endpoint pair.
-  std::set<std::pair<std::string, std::string>> failed_virtual;
-  std::set<std::pair<std::string, std::string>> failed_phys;
-
-  for (std::size_t position = 0; position < order.size(); ++position) {
-    const topo::ExperimentAction& action = actions[order[position]];
-    std::ostringstream where_os;
-    where_os << "script action " << (order[position] + 1) << " ('"
-             << action.verb << "' at " << action.at_seconds << "s)";
-    const std::string where = where_os.str();
-
-    // V011 / V012: the schedulable window.
-    if (action.at_seconds < context.start_seconds) {
-      report.error("V011", where,
-                   "action is scheduled before the experiment start (" +
-                       std::to_string(context.start_seconds) + "s)");
-    }
-    if (context.horizon_seconds > 0 &&
-        action.at_seconds > context.horizon_seconds) {
-      report.error("V012", where,
-                   "action is scheduled past the horizon (" +
-                       std::to_string(context.horizon_seconds) + "s)");
-    }
-
-    if (action.verb == "mark") continue;
-
-    const bool virtual_verb =
-        action.verb == "fail-link" || action.verb == "restore-link";
-    const bool fails = action.verb == "fail-link" ||
-                       action.verb == "fail-phys-link";
-
-    // V014: the verb's layer must exist in this experiment.
-    if (virtual_verb && !context.has_iias) {
-      report.error("V014", where,
-                   "virtual-link verb but the experiment has no IIAS overlay");
-    }
-    if (!virtual_verb && !context.has_phys) {
-      report.error("V014", where,
-                   "physical-link verb but the experiment has no substrate");
-    }
-
-    if (action.args.size() != 2) continue;  // parser enforces; be safe
-    const std::string& a = action.args[0];
-    const std::string& b = action.args[1];
-
-    // V010: the named link must exist.
-    if (index != nullptr && !index->hasLink(a, b)) {
-      const bool unknown_node =
-          index->nodes.count(a) == 0 || index->nodes.count(b) == 0;
-      report.error("V010", where,
-                   unknown_node
-                       ? "action references unknown node in '" +
-                             describeLink(a, b) + "'"
-                       : "no link between '" + a + "' and '" + b + "'");
-      continue;  // state tracking for a nonexistent link is noise
-    }
-
-    // V013: fail/restore pairing per layer.
-    auto& failed = virtual_verb ? failed_virtual : failed_phys;
-    const auto key = linkKey(a, b);
-    if (fails) {
-      if (!failed.insert(key).second) {
-        report.error("V013", where,
-                     "link " + describeLink(a, b) +
-                         " is failed twice without an intervening restore");
-      }
-    } else {
-      if (failed.erase(key) == 0) {
-        report.error("V013", where,
-                     "restore of link " + describeLink(a, b) +
-                         " which was never failed");
-      }
-    }
-  }
-}
-
 void checkFaultSchedule(const fault::FaultSchedule& schedule, Report& report,
                         const core::TopologySpec* topology) {
   std::unique_ptr<TopologyIndex> index;
@@ -245,6 +153,7 @@ void checkFaultSchedule(const fault::FaultSchedule& schedule, Report& report,
   // Per-class lifecycle state.  Everything starts healthy.
   std::set<std::pair<std::string, std::string>> links_down;
   std::set<std::pair<std::string, std::string>> links_degraded;
+  std::set<std::pair<std::string, std::string>> vlinks_down;
   std::set<std::string> nodes_crashed;
   std::set<std::string> srlgs_down;
   std::set<std::pair<std::string, int>> procs_killed;
@@ -259,6 +168,8 @@ void checkFaultSchedule(const fault::FaultSchedule& schedule, Report& report,
       case fault::FaultKind::kLinkUp:
       case fault::FaultKind::kLinkDegrade:
       case fault::FaultKind::kLinkRestore:
+      case fault::FaultKind::kVlinkDown:
+      case fault::FaultKind::kVlinkUp:
         where_os << " " << describeLink(event.a, event.b);
         break;
       case fault::FaultKind::kProcKill:
@@ -423,6 +334,28 @@ void checkFaultSchedule(const fault::FaultSchedule& schedule, Report& report,
           }
         } else if (srlgs_down.erase(event.a) == 0) {
           report.warning("V112", where, "SRLG comes up while already up");
+        }
+        break;
+      }
+      case fault::FaultKind::kVlinkDown:
+      case fault::FaultKind::kVlinkUp: {
+        if (index != nullptr && !index->hasLink(event.a, event.b)) {
+          report.error("V110", where,
+                       "event references unknown virtual link " +
+                           describeLink(event.a, event.b));
+          continue;
+        }
+        // A virtual link is an experiment control, not an outage: both
+        // halves of a mispaired fail/restore are errors.
+        const auto key = linkKey(event.a, event.b);
+        if (event.kind == fault::FaultKind::kVlinkDown) {
+          if (!vlinks_down.insert(key).second) {
+            report.error("V112", where,
+                         "virtual link goes down while already down");
+          }
+        } else if (vlinks_down.erase(key) == 0) {
+          report.error("V112", where,
+                       "virtual link comes up while not down");
         }
         break;
       }

@@ -19,28 +19,20 @@
 //     V007  unsatisfiable physical binding (two virtual nodes bound to
 //           one physical node, or a binding to an unknown physical node)
 //
-//   Experiment scripts (checkExperimentScript)
-//     V010  action references an unknown node/link
-//     V011  action scheduled before the experiment start
-//     V012  action scheduled past the horizon
-//     V013  fail/restore ordering violation (restore before fail, or
-//           double-fail without an intervening restore)
-//     V014  verb targets a layer the experiment does not have
-//           (virtual verbs with no IIAS overlay, phys verbs with no
-//           substrate)
-//
+//   V010-V014 (the retired experiment-script checker's codes) and
 //   V020-V022 (the retired link-trace checker's codes) are never
-//   reused: plain link up/down traces are fault schedules and report
-//   V110/V112/V113 below.
+//   reused: scripted virtual-link failures and plain link up/down
+//   traces are fault schedules and report V110/V112/V113 below.
 //
 //   Fault schedules (checkFaultSchedule)
-//     V110  event references an unknown node, link, or SRLG (or an SRLG
-//           definition names an unknown link)
+//     V110  event references an unknown node, link, virtual link, or
+//           SRLG (or an SRLG definition names an unknown link)
 //     V111  invalid degrade parameters (loss outside [0, 1], nonpositive
 //           bandwidth, negative delay, or no parameters at all)
 //     V112  lifecycle overlap (crash of an already-crashed node, restart
-//           of a node that never crashed, down of an already-down link
-//           or SRLG, restart of a never-killed process; up of an
+//           of a node that never crashed, down of an already-down link,
+//           virtual link or SRLG, up of a virtual link that is not
+//           down, restart of a never-killed process; up of an
 //           already-up link or SRLG is a warning, and so is re-kill of
 //           an already-killed process — the supervisor may have
 //           restarted it off-trace)
@@ -70,7 +62,6 @@
 #include "fault/fault.h"
 #include "phys/link.h"
 #include "phys/network.h"
-#include "topo/experiment_spec.h"
 
 namespace vini::check {
 
@@ -78,25 +69,6 @@ namespace vini::check {
 /// physical bindings are also resolved against it.
 void checkTopologySpec(const core::TopologySpec& spec, Report& report,
                        const phys::PhysNetwork* net = nullptr);
-
-/// What the script will run against; controls reference resolution.
-struct ScriptContext {
-  /// Node/link names actions may reference (virtual and — for the
-  /// paper's one-to-one mirrors — physical).  Null disables V010.
-  const core::TopologySpec* topology = nullptr;
-  /// Experiment has an IIAS overlay (fail-link / restore-link targets).
-  bool has_iias = true;
-  /// Experiment has a physical substrate (fail-phys-link targets).
-  bool has_phys = true;
-  /// Simulation time the script is admitted at.
-  double start_seconds = 0.0;
-  /// Experiment horizon; <= 0 disables V012.
-  double horizon_seconds = 0.0;
-};
-
-/// Validate an experiment script (V010-V014).
-void checkExperimentScript(const std::vector<topo::ExperimentAction>& actions,
-                           const ScriptContext& context, Report& report);
 
 /// Validate a fault schedule (V110-V113).  `topology` resolves node and
 /// link references; null disables that part of V110 (SRLG references

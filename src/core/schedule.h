@@ -23,7 +23,7 @@ class EventSchedule {
   /// Run `action` at absolute time `when`, recording `label` in the log.
   void at(sim::Time when, const std::string& label, std::function<void()> action);
 
-  /// Convenience: seconds-based overload used by experiment scripts.
+  /// Convenience: seconds-based overload used by fault schedules.
   void atSeconds(double when_s, const std::string& label,
                  std::function<void()> action) {
     at(sim::fromSeconds(when_s), label, std::move(action));

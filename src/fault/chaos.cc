@@ -245,14 +245,14 @@ ChaosReport runChaosCampaign(topo::World& world, const ChaosOptions& options) {
       dead_s = sim::toSeconds(
           world.iias->routers().front()->config().ospf.dead_interval);
     }
-    recovery = 3.0 * dead_s + 2.0 * sim::toSeconds(sup_config.max_backoff) + 30.0;
+    recovery = 3.0 * dead_s + 2.0 * sim::toSeconds(sup_config.backoff.max) + 30.0;
   }
   world.queue.runUntil(sim::fromSeconds(last_event));
   // Let every supervised restart land (backoffs can stack past the
   // recovery window under repeated kills).
   for (int round = 0; round < 64 && supervisor.pendingRestarts() > 0; ++round) {
     world.queue.runUntil(world.queue.now() +
-                         std::max(sup_config.max_backoff, 10 * sim::kSecond));
+                         std::max(sup_config.backoff.max, 10 * sim::kSecond));
   }
 
   report.converged =

@@ -1,6 +1,7 @@
 #include "fault/fault.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -23,6 +24,8 @@ const char* faultKindName(FaultKind kind) {
     case FaultKind::kSrlgDown: return "srlg down";
     case FaultKind::kSrlgUp: return "srlg up";
     case FaultKind::kMigrate: return "migrate";
+    case FaultKind::kVlinkDown: return "vlink down";
+    case FaultKind::kVlinkUp: return "vlink up";
   }
   return "?";
 }
@@ -105,6 +108,12 @@ std::string emitFaultSchedule(const FaultSchedule& schedule) {
         os << "migrate " << event.a << " to " << event.b;
         if (event.budget_ms) os << " budget=" << formatDouble(*event.budget_ms);
         break;
+      case FaultKind::kVlinkDown:
+        os << "vlink " << event.a << " " << event.b << " down";
+        break;
+      case FaultKind::kVlinkUp:
+        os << "vlink " << event.a << " " << event.b << " up";
+        break;
     }
     os << "\n";
   }
@@ -121,33 +130,39 @@ namespace {
                            line);
 }
 
+/// The whole of `text` as a finite double, or nullopt.  std::stod
+/// also accepts "nan" and "inf", which no time or quality value may be:
+/// they would reach sim::fromSeconds, whose cast is undefined for them.
+std::optional<double> finiteNumber(const std::string& text) {
+  try {
+    std::size_t used = 0;
+    const double value = std::stod(text, &used);
+    if (used != text.size() || !std::isfinite(value)) return std::nullopt;
+    return value;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 double parseTime(const std::string& t_word, int lineno,
                  const std::string& line) {
   if (t_word.rfind("t=", 0) != 0) badLine(lineno, line);
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(t_word.substr(2), &used);
-    if (used != t_word.size() - 2) throw std::invalid_argument(t_word);
-    return value;
-  } catch (const std::exception&) {
+  const std::optional<double> value = finiteNumber(t_word.substr(2));
+  if (!value || *value < 0) {
     throw std::runtime_error("bad time '" + t_word + "' on trace line " +
                              std::to_string(lineno) + ": " + line);
   }
+  return *value;
 }
 
 double parseNumber(const std::string& word, const std::string& value,
                    int lineno, const std::string& line) {
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    if (used != value.size() || value.empty()) {
-      throw std::invalid_argument(value);
-    }
-    return parsed;
-  } catch (const std::exception&) {
+  const std::optional<double> parsed = finiteNumber(value);
+  if (!parsed) {
     throw std::runtime_error("bad value '" + word + "' on trace line " +
                              std::to_string(lineno) + ": " + line);
   }
+  return *parsed;
 }
 
 std::optional<ProcClass> procClassFor(const std::string& word) {
@@ -166,10 +181,9 @@ FaultSchedule parseFaultSchedule(const std::string& text) {
   int lineno = 0;
   while (std::getline(lines, line)) {
     ++lineno;
-    if (line.empty() || line[0] == '#') continue;
     std::istringstream words(line);
     std::string first;
-    if (!(words >> first)) continue;
+    if (!(words >> first) || first[0] == '#') continue;
 
     // Timeless definition line: srlg <group> <A> <B>.
     if (first == "srlg") {
@@ -260,6 +274,20 @@ FaultSchedule parseFaultSchedule(const std::string& text) {
           badLine(lineno, line);
         }
         event.budget_ms = parseNumber(kv, kv.substr(eq + 1), lineno, line);
+      }
+    } else if (subject == "vlink") {
+      std::string a, b, action, extra;
+      if (!(words >> a >> b >> action) || (words >> extra)) {
+        badLine(lineno, line);
+      }
+      event.a = a;
+      event.b = b;
+      if (action == "down") {
+        event.kind = FaultKind::kVlinkDown;
+      } else if (action == "up") {
+        event.kind = FaultKind::kVlinkUp;
+      } else {
+        badLine(lineno, line);
       }
     } else if (subject == "srlg") {
       std::string group, action, extra;

@@ -1,20 +1,26 @@
-// Fault schedules: the general fault-injection grammar.
+// Fault schedules: the one scripted-event grammar.
 //
 // Section 4 promises researchers they can "inject failures" and
-// Section 6.2 asks for playback of real-world event traces.  A *fault
-// schedule* covers everything a deployment actually suffers: plain link
-// up/down faults, whole-node crashes, routing daemon kills (with
-// supervised restart), degraded links (extra loss, inflated delay,
-// reduced bandwidth — runtime-mutable LinkConfig), and correlated
-// failures through shared-risk link groups (SRLGs: one conduit cut
-// takes every fiber in it down atomically).  Every `.trace` file takes
-// this one path: parseFaultSchedule reads it, check::checkFaultSchedule
-// lints it, generateFaultCampaign generates it, FaultInjector applies it.
+// Section 6.2 asks for experiments "specified using the same type of
+// syntax that is used to construct ns or Emulab experiments" and for
+// playback of real-world event traces.  A *fault schedule* covers
+// everything a deployment actually suffers: plain link up/down faults,
+// whole-node crashes, routing daemon kills (with supervised restart),
+// degraded links (extra loss, inflated delay, reduced bandwidth —
+// runtime-mutable LinkConfig), correlated failures through shared-risk
+// link groups (SRLGs: one conduit cut takes every fiber in it down
+// atomically), and the Section 5.2 experiment control of failing an
+// IIAS virtual link by dropping its packets inside Click.  Every
+// `.trace` file takes this one path: parseFaultSchedule reads it,
+// check::checkFaultSchedule lints it, generateFaultCampaign generates
+// it, FaultInjector applies it.
 //
 // Trace format.  Timeless definition lines first (by convention), then
-// one event per line:
+// one event per line; a line whose first word starts with '#' is a
+// comment:
 //
-//   srlg westcoast Seattle Sunnyvale         # add link to a named group
+//   # add links to a named group
+//   srlg westcoast Seattle Sunnyvale
 //   srlg westcoast Seattle Denver
 //   t=10 link Denver KansasCity down
 //   t=40 link Denver KansasCity up
@@ -27,7 +33,12 @@
 //   t=30 proc Atlanta ospf kill
 //   t=60 proc Atlanta ospf restart
 //   t=35 migrate Denver to SpareWest budget=250
+//   t=70 vlink Denver KansasCity down
+//   t=94 vlink Denver KansasCity up
 //
+// `link` acts on the substrate (fate sharing carries it up to every
+// virtual link riding it); `vlink` acts on one IIAS virtual link only.
+// Times are finite and nonnegative, and every numeric value is finite.
 // Parsing throws std::runtime_error naming the line number and the
 // offending text; static linting happens in check::checkFaultSchedule.
 #pragma once
@@ -54,6 +65,8 @@ enum class FaultKind {
   kSrlgDown,
   kSrlgUp,
   kMigrate,
+  kVlinkDown,
+  kVlinkUp,
 };
 
 enum class ProcClass { kOspf, kRip, kBgp };
@@ -72,8 +85,9 @@ struct DegradeSpec {
 struct FaultEvent {
   double at_seconds = 0;
   FaultKind kind = FaultKind::kLinkDown;
-  /// Link events: a/b are the endpoint node names.  Node and proc
-  /// events: a is the node name.  SRLG events: a is the group name.
+  /// Link events: a/b are the endpoint node names (virtual node names
+  /// for vlink events).  Node and proc events: a is the node name.
+  /// SRLG events: a is the group name.
   std::string a;
   std::string b;
   ProcClass proc = ProcClass::kOspf;  ///< proc events only

@@ -26,6 +26,18 @@ phys::PhysLink& FaultInjector::linkOrThrow(const std::string& a,
   return *link;
 }
 
+core::VirtualLink& FaultInjector::vlinkOrThrow(const std::string& a,
+                                              const std::string& b) {
+  shard_.assertHeld();
+  core::VirtualLink* link =
+      overlay_ != nullptr ? overlay_->slice().linkBetween(a, b) : nullptr;
+  if (!link) {
+    throw std::runtime_error("fault schedule references unknown virtual link " +
+                             a + "-" + b);
+  }
+  return *link;
+}
+
 FaultInjector::LinkState& FaultInjector::stateOf(const phys::PhysLink& link) {
   shard_.assertHeld();
   return link_states_[link.id()];
@@ -240,6 +252,18 @@ void FaultInjector::srlgEvent(const std::string& group, bool down) {
   recordFault(group, down ? "srlg_down" : "srlg_up");
 }
 
+void FaultInjector::vlinkEvent(const std::string& a, const std::string& b,
+                               bool down) {
+  shard_.assertHeld();
+  core::VirtualLink& link = vlinkOrThrow(a, b);
+  if (down) {
+    overlay_->failLink(a, b);
+  } else {
+    overlay_->restoreLink(a, b);
+  }
+  recordFault(link.name(), down ? "vlink_down" : "vlink_up");
+}
+
 void FaultInjector::apply(const FaultSchedule& schedule) {
   shard_.assertHeld();
   // Validate up front so a bad schedule fails before anything runs.
@@ -291,6 +315,10 @@ void FaultInjector::apply(const FaultSchedule& schedule) {
               "fault schedule migrates to unknown node " + event.b);
         }
         break;
+      case FaultKind::kVlinkDown:
+      case FaultKind::kVlinkUp:
+        vlinkOrThrow(event.a, event.b);
+        break;
     }
   }
 
@@ -318,6 +346,10 @@ void FaultInjector::apply(const FaultSchedule& schedule) {
       case FaultKind::kMigrate:
         label += "migrate " + event.a + " to " + event.b;
         break;
+      case FaultKind::kVlinkDown:
+      case FaultKind::kVlinkUp:
+        label += "vlink " + event.a + "-" + event.b;
+        break;
     }
     const char* space = std::strrchr(faultKindName(event.kind), ' ');
     label += space ? space : "";
@@ -341,6 +373,8 @@ void FaultInjector::apply(const FaultSchedule& schedule) {
             migration_handler_(ev.a, ev.b, ev.budget_ms);
           }
           break;
+        case FaultKind::kVlinkDown: vlinkEvent(ev.a, ev.b, true); break;
+        case FaultKind::kVlinkUp: vlinkEvent(ev.a, ev.b, false); break;
       }
     });
   }

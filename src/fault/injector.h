@@ -33,16 +33,17 @@ namespace vini::fault {
 
 class FaultInjector {
  public:
-  /// `overlay` and `supervisor` may be null: without an overlay, node
-  /// and proc events are rejected at apply(); without a supervisor,
-  /// killed processes stay dead until an explicit restart event.
+  /// `overlay` and `supervisor` may be null: without an overlay, node,
+  /// proc and vlink events are rejected at apply(); without a
+  /// supervisor, killed processes stay dead until an explicit restart
+  /// event.
   FaultInjector(core::EventSchedule& schedule, phys::PhysNetwork& net,
                 overlay::IiasNetwork* overlay = nullptr,
                 Supervisor* supervisor = nullptr);
 
   /// Validate every event against the world and schedule it.  Throws
-  /// std::runtime_error on unknown links/nodes/groups or on node/proc
-  /// events without an overlay.
+  /// std::runtime_error on unknown links/virtual links/nodes/groups or
+  /// on node/proc/vlink events without an overlay.
   void apply(const FaultSchedule& schedule);
 
   // -- Immediate operations (the scheduled thunks call these; tests may
@@ -57,6 +58,8 @@ class FaultInjector {
   void procEvent(const std::string& node, ProcClass proc, bool kill);
   /// Fail/restore every member of a defined SRLG atomically (one event).
   void srlgEvent(const std::string& group, bool down);
+  /// Fail/restore one IIAS virtual link inside Click (Section 5.2).
+  void vlinkEvent(const std::string& a, const std::string& b, bool down);
 
   bool nodeCrashed(const std::string& name) const {
     shard_.assertHeld();
@@ -91,6 +94,8 @@ class FaultInjector {
   };
 
   phys::PhysLink& linkOrThrow(const std::string& a, const std::string& b);
+  /// The overlay's virtual link a-b; throws without an overlay.
+  core::VirtualLink& vlinkOrThrow(const std::string& a, const std::string& b);
   void refreshLink(phys::PhysLink& link);
   LinkState& stateOf(const phys::PhysLink& link);
   /// Register the node's routing daemons with the supervisor (id

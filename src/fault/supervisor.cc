@@ -1,6 +1,5 @@
 #include "fault/supervisor.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -28,17 +27,6 @@ Supervisor::Child& Supervisor::childOrThrow(const std::string& id) {
     throw std::runtime_error("supervisor does not manage '" + id + "'");
   }
   return it->second;
-}
-
-sim::Duration Supervisor::backoffFor(Child& child) {
-  shard_.assertHeld();
-  double delay = static_cast<double>(config_.initial_backoff);
-  for (int i = 1; i < child.attempts; ++i) delay *= config_.multiplier;
-  delay = std::min(delay, static_cast<double>(config_.max_backoff));
-  if (config_.jitter > 0) {
-    delay *= 1.0 + config_.jitter * (2.0 * random_.uniform01() - 1.0);
-  }
-  return static_cast<sim::Duration>(std::max(delay, 0.0));
 }
 
 void Supervisor::kill(const std::string& id) {
@@ -105,7 +93,7 @@ void Supervisor::forget(const std::string& id) {
 
 void Supervisor::scheduleRestart(const std::string& id, Child& child) {
   shard_.assertHeld();
-  const sim::Duration delay = backoffFor(child);
+  const sim::Duration delay = config_.backoff.delay(child.attempts, &random_);
   child.pending = queue_.scheduleAfter(delay, "fault.supervisor",
                                        [this, id] { completeRestart(id); });
 }

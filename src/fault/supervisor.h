@@ -26,14 +26,10 @@
 namespace vini::fault {
 
 struct SupervisorConfig {
-  sim::Duration initial_backoff = sim::kSecond;
-  double multiplier = 2.0;
-  sim::Duration max_backoff = 60 * sim::kSecond;
-  /// Relative jitter: the delay is scaled by a uniform factor in
-  /// [1 - jitter, 1 + jitter].
-  double jitter = 0.25;
+  /// Restart delay after the n-th consecutive failure.
+  sim::Backoff backoff{sim::kSecond, 2.0, 60 * sim::kSecond, 0.25};
   /// A process that stayed up this long has its failure count forgiven;
-  /// the next death backs off from initial_backoff again.
+  /// the next death backs off from backoff.initial again.
   sim::Duration stable_uptime = 300 * sim::kSecond;
   std::uint64_t seed = 1;
 };
@@ -112,7 +108,6 @@ class Supervisor {
   };
 
   Child& childOrThrow(const std::string& id);
-  sim::Duration backoffFor(Child& child);
   void scheduleRestart(const std::string& id, Child& child);
   void completeRestart(const std::string& id);
 

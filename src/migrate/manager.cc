@@ -58,16 +58,6 @@ void MigrationManager::logLine(const std::string& text) {
   log_.push_back(LogEntry{queue_.now(), text});
 }
 
-sim::Duration MigrationManager::backoffDelay(int attempt) {
-  double delay = static_cast<double>(policy_.initial_backoff);
-  for (int i = 1; i < attempt; ++i) delay *= policy_.multiplier;
-  delay = std::min(delay, static_cast<double>(policy_.max_backoff));
-  if (policy_.jitter > 0) {
-    delay *= 1.0 + policy_.jitter * (2.0 * random_.uniform01() - 1.0);
-  }
-  return static_cast<sim::Duration>(std::max(delay, 1.0));
-}
-
 void MigrationManager::requestMigration(const std::string& router,
                                         const std::string& dest,
                                         std::optional<double> budget_ms) {
@@ -224,7 +214,8 @@ void MigrationManager::attemptSwitchover(Active& a) {
     rollback(a, "attempts exhausted");
     return;
   }
-  const sim::Duration delay = backoffDelay(a.attempts);
+  const sim::Duration delay = std::max<sim::Duration>(
+      policy_.backoff.delay(a.attempts, &random_), 1);
   if (elapsed + delay >= budget) {
     rollback(a, "downtime budget would be breached");
     return;

@@ -65,11 +65,8 @@ struct MigrationPolicy {
   /// tears it down — queued data-plane closures drain meanwhile.
   sim::Duration verify_delay = 10 * sim::kSecond;
   int max_switchover_attempts = 5;
-  sim::Duration initial_backoff = 50 * sim::kMillisecond;
-  double multiplier = 2.0;
-  sim::Duration max_backoff = sim::kSecond;
-  /// Relative jitter on each backoff delay, in [1 - jitter, 1 + jitter].
-  double jitter = 0.25;
+  /// Delay before switchover retry n (never below 1 ns).
+  sim::Backoff backoff{50 * sim::kMillisecond, 2.0, sim::kSecond, 0.25};
   std::uint64_t seed = 1;
 };
 
@@ -177,7 +174,6 @@ class MigrationManager {
   void verify(Active& a);
   void auditNoForwardingLoop(const std::string& context);
   void logLine(const std::string& text);
-  sim::Duration backoffDelay(int attempt);
 
   sim::EventQueue& queue_;
   phys::PhysNetwork& net_;

@@ -86,6 +86,7 @@ void IiasNetwork::applyLinkState(core::VirtualLink& link, bool up) {
   IiasRouter* ra = router(link.nodeA().name());
   IiasRouter* rb = router(link.nodeB().name());
   if (!ra || !rb) return;
+  up = up && failed_links_.count(link.id()) == 0;
   const packet::IpAddress addr_a = link.nodeA().physNode().address();
   const packet::IpAddress addr_b = link.nodeB().physNode().address();
   if (up) {
@@ -100,13 +101,16 @@ void IiasNetwork::applyLinkState(core::VirtualLink& link, bool up) {
 void IiasNetwork::failLink(const std::string& a, const std::string& b) {
   core::VirtualLink* link = slice().linkBetween(a, b);
   if (!link) throw std::runtime_error("no virtual link " + a + "-" + b);
+  failed_links_.insert(link->id());
   applyLinkState(*link, false);
 }
 
 void IiasNetwork::restoreLink(const std::string& a, const std::string& b) {
   core::VirtualLink* link = slice().linkBetween(a, b);
   if (!link) throw std::runtime_error("no virtual link " + a + "-" + b);
-  // Only restore if the VINI layer agrees the link is healthy.
+  failed_links_.erase(link->id());
+  // Only restore if the VINI layer agrees the link is healthy; otherwise
+  // the underlay's recovery unblocks it.
   if (link->isUp()) applyLinkState(*link, true);
 }
 

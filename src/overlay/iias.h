@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,8 @@ class IiasNetwork {
   // -- Section 5.2 failure controls -------------------------------------------
 
   /// Fail the virtual link between two virtual nodes by dropping its
-  /// packets inside Click at both ends.
+  /// packets inside Click at both ends.  The failure holds until
+  /// restoreLink, whatever the underlay does meanwhile.
   void failLink(const std::string& a, const std::string& b);
   void restoreLink(const std::string& a, const std::string& b);
 
@@ -77,6 +79,8 @@ class IiasNetwork {
   std::size_t totalOspfRoutes() const;
 
  private:
+  /// Block or unblock the link's tunnels; a link failed by failLink
+  /// stays blocked.
   void applyLinkState(core::VirtualLink& link, bool up);
 
   core::Embedding embedding_;
@@ -84,6 +88,7 @@ class IiasNetwork {
   IiasConfig config_;
   std::vector<std::unique_ptr<IiasRouter>> routers_;
   std::map<std::string, IiasRouter*> by_name_;
+  std::set<int> failed_links_;  ///< VirtualLink::id() held down by failLink
 };
 
 }  // namespace vini::overlay

@@ -1,7 +1,5 @@
 #include "overlay/openvpn.h"
 
-#include <algorithm>
-
 #include "obs/obs.h"
 
 namespace vini::overlay {
@@ -272,13 +270,8 @@ void OpenVpnClient::attemptHandshake() {
 
 void OpenVpnClient::scheduleRetry() {
   ++consecutive_failures_;
-  double delay = static_cast<double>(config_.initial_backoff);
-  for (int i = 1; i < consecutive_failures_; ++i) delay *= config_.multiplier;
-  delay = std::min(delay, static_cast<double>(config_.max_backoff));
-  if (config_.jitter > 0 && random_) {
-    delay *= 1.0 + config_.jitter * (2.0 * random_->uniform01() - 1.0);
-  }
-  retry_timer_->armAfter(static_cast<sim::Duration>(std::max(delay, 0.0)));
+  retry_timer_->armAfter(
+      config_.backoff.delay(consecutive_failures_, random_.get()));
 }
 
 void OpenVpnClient::onSessionGrant(const OpenVpnControl& msg) {

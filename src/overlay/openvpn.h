@@ -140,11 +140,8 @@ struct OpenVpnReconnectConfig {
   sim::Duration keepalive_interval = 5 * sim::kSecond;
   /// No keepalive-ack for this long = the server (or the path) is dead.
   sim::Duration peer_timeout = 15 * sim::kSecond;
-  sim::Duration initial_backoff = sim::kSecond;
-  double multiplier = 2.0;
-  sim::Duration max_backoff = 30 * sim::kSecond;
-  /// Relative jitter on each backoff delay, in [1 - jitter, 1 + jitter].
-  double jitter = 0.25;
+  /// Delay before reconnect attempt n.
+  sim::Backoff backoff{sim::kSecond, 2.0, 30 * sim::kSecond, 0.25};
   /// Mixed with the substrate seed and the client's name into the
   /// per-client jitter stream, so co-located clients never share a
   /// backoff schedule yet every same-seed run replays identically.

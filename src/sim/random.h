@@ -12,6 +12,7 @@
 // any conforming standard library.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -83,6 +84,28 @@ class Random {
   std::mt19937_64 engine_;
   double spare_ = 0.0;  // the polar method's second value, while has_spare_
   bool has_spare_ = false;
+};
+
+/// Capped exponential backoff with symmetric jitter: retry `attempt`
+/// (1 for the first) waits initial * multiplier^(attempt - 1), capped at
+/// `max`, scaled by a uniform factor in [1 - jitter, 1 + jitter].
+struct Backoff {
+  Duration initial = kSecond;
+  double multiplier = 2.0;
+  Duration max = 60 * kSecond;
+  double jitter = 0.25;
+
+  /// The (nonnegative) delay before retry `attempt`.  Draws one uniform
+  /// from `random` only when jitter > 0 and `random` is non-null.
+  Duration delay(int attempt, Random* random) const {
+    double d = static_cast<double>(initial);
+    for (int i = 1; i < attempt; ++i) d *= multiplier;
+    d = std::min(d, static_cast<double>(max));
+    if (jitter > 0 && random != nullptr) {
+      d *= 1.0 + jitter * (2.0 * random->uniform01() - 1.0);
+    }
+    return static_cast<Duration>(std::max(d, 0.0));
+  }
 };
 
 }  // namespace vini::sim

@@ -10,13 +10,11 @@
 #include "phys/network.h"
 #include "sim/event_queue.h"
 #include "topo/abilene.h"
-#include "topo/experiment_spec.h"
 
 namespace {
 
 using namespace vini;
 using check::Report;
-using check::ScriptContext;
 using check::Severity;
 using core::TopologyLinkSpec;
 using core::TopologyNodeSpec;
@@ -143,110 +141,6 @@ TEST(CheckTopology, V007BindingToUnknownPhysicalNode) {
   spec.nodes[1].phys_name = "Chicago";
   Report clean;
   check::checkTopologySpec(spec, clean, &net);
-  EXPECT_TRUE(clean.empty()) << clean.format();
-}
-
-// ---------------------------------------------------------------------------
-// Experiment scripts (V010-V014)
-
-std::vector<topo::ExperimentAction> parse(const std::string& text) {
-  return topo::parseExperimentScript(text);
-}
-
-ScriptContext abileneContext(const TopologySpec& topology) {
-  ScriptContext context;
-  context.topology = &topology;
-  return context;
-}
-
-TEST(CheckScript, CleanScriptHasNoFindings) {
-  const auto topology = topo::abileneMirrorSpec();
-  const auto actions = parse(
-      "at 10.0 fail-link Denver KansasCity\n"
-      "at 34.0 restore-link Denver KansasCity\n"
-      "at 50.0 mark checkpoint\n");
-  Report report;
-  check::checkExperimentScript(actions, abileneContext(topology), report);
-  EXPECT_TRUE(report.empty()) << report.format();
-}
-
-TEST(CheckScript, V010UnknownLinkReference) {
-  const auto topology = topo::abileneMirrorSpec();
-  // Both PoPs exist but Abilene has no direct Seattle-Houston span.
-  const auto actions = parse("at 5 fail-link Seattle Houston\n");
-  Report report;
-  check::checkExperimentScript(actions, abileneContext(topology), report);
-  EXPECT_TRUE(report.hasCode("V010")) << report.format();
-}
-
-TEST(CheckScript, V011ActionBeforeStart) {
-  const auto topology = topo::abileneMirrorSpec();
-  const auto actions = parse("at 5 fail-link Denver KansasCity\n");
-  auto context = abileneContext(topology);
-  context.start_seconds = 30.0;  // admitted mid-run
-  Report report;
-  check::checkExperimentScript(actions, context, report);
-  EXPECT_TRUE(report.hasCode("V011")) << report.format();
-}
-
-TEST(CheckScript, V012ActionPastHorizon) {
-  const auto topology = topo::abileneMirrorSpec();
-  const auto actions = parse("at 500 mark too-late\n");
-  auto context = abileneContext(topology);
-  context.horizon_seconds = 120.0;
-  Report report;
-  check::checkExperimentScript(actions, context, report);
-  EXPECT_TRUE(report.hasCode("V012")) << report.format();
-
-  // Within the horizon: clean.
-  auto ok = parse("at 100 mark in-time\n");
-  Report clean;
-  check::checkExperimentScript(ok, context, clean);
-  EXPECT_TRUE(clean.empty()) << clean.format();
-}
-
-TEST(CheckScript, V013RestoreBeforeFail) {
-  const auto topology = topo::abileneMirrorSpec();
-  const auto actions = parse("at 5 restore-link Denver KansasCity\n");
-  Report report;
-  check::checkExperimentScript(actions, abileneContext(topology), report);
-  EXPECT_TRUE(report.hasCode("V013")) << report.format();
-}
-
-TEST(CheckScript, V013DoubleFailWithoutRestore) {
-  const auto topology = topo::abileneMirrorSpec();
-  // Ordering follows execution time, not file order.
-  const auto actions = parse(
-      "at 20 fail-link Denver KansasCity\n"
-      "at 10 fail-link Denver KansasCity\n");
-  Report report;
-  check::checkExperimentScript(actions, abileneContext(topology), report);
-  EXPECT_TRUE(report.hasCode("V013")) << report.format();
-
-  // fail -> restore -> fail is a legitimate flap.
-  const auto flap = parse(
-      "at 10 fail-link Denver KansasCity\n"
-      "at 20 restore-link Denver KansasCity\n"
-      "at 30 fail-link Denver KansasCity\n"
-      "at 40 restore-link Denver KansasCity\n");
-  Report clean;
-  check::checkExperimentScript(flap, abileneContext(topology), clean);
-  EXPECT_TRUE(clean.empty()) << clean.format();
-}
-
-TEST(CheckScript, V014VirtualVerbWithoutIias) {
-  const auto topology = topo::abileneMirrorSpec();
-  const auto actions = parse("at 5 fail-link Denver KansasCity\n");
-  auto context = abileneContext(topology);
-  context.has_iias = false;
-  Report report;
-  check::checkExperimentScript(actions, context, report);
-  EXPECT_TRUE(report.hasCode("V014")) << report.format();
-
-  // Physical verbs are still fine without an overlay.
-  const auto phys_actions = parse("at 5 fail-phys-link Denver KansasCity\n");
-  Report clean;
-  check::checkExperimentScript(phys_actions, context, clean);
   EXPECT_TRUE(clean.empty()) << clean.format();
 }
 

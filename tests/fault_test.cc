@@ -56,6 +56,8 @@ fault::FaultSchedule everyKindSchedule() {
   add(9.0, fault::FaultKind::kNodeRestart, "Houston");
   auto* restart = add(10.0, fault::FaultKind::kProcRestart, "Atlanta");
   restart->proc = fault::ProcClass::kBgp;
+  add(11.0, fault::FaultKind::kVlinkDown, "Denver", "KansasCity");
+  add(12.0, fault::FaultKind::kVlinkUp, "Denver", "KansasCity");
   return schedule;
 }
 
@@ -77,6 +79,11 @@ TEST(FaultTrace, EmitParseRoundTripCoversEveryKind) {
   EXPECT_EQ(parsed.events[1].degrade.delay_seconds, 0.05);
   EXPECT_EQ(parsed.events[1].degrade.bandwidth_bps, 1.0e7);
   EXPECT_EQ(parsed.events[4].proc, fault::ProcClass::kBgp);
+
+  EXPECT_NE(text.find("t=11 vlink Denver KansasCity down\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("t=12 vlink Denver KansasCity up\n"), std::string::npos)
+      << text;
 
   // Emission is canonical: a second round trip is byte-identical.
   EXPECT_EQ(emitFaultSchedule(parsed), text);
@@ -117,8 +124,35 @@ TEST(FaultTrace, ParseErrorsNameLineAndOffendingText) {
   expectParseError("t=10 link A B\n", "line 1", "t=10 link A B");
   expectParseError("t=10 link A\n", "line 1", "t=10 link A");
   expectParseError("t=10\n", "line 1", "t=10");
-  // Comments and blank lines are not events.
+  // Times must be finite, nonnegative numbers (they reach
+  // sim::fromSeconds, whose cast is undefined for NaN and infinity).
+  expectParseError("t=nan link Denver KansasCity down\n", "line 1", "t=nan");
+  expectParseError("t=inf node Houston crash\n", "line 1", "t=inf");
+  expectParseError("t=-infinity node Houston crash\n", "line 1",
+                   "t=-infinity");
+  expectParseError("t=-1 link A B down\n", "line 1", "t=-1");
+  expectParseError("t=nan.0 link A B down\n", "line 1", "t=nan.0");
+  expectParseError("t=1.2.3 link A B down\n", "line 1", "t=1.2.3");
+  // So must every quality value.
+  expectParseError("t=1 link A B degrade loss=nan\n", "line 1", "loss=nan");
+  expectParseError("t=1 link A B degrade delay=nan\n", "line 1", "delay=nan");
+  expectParseError("t=1 link A B degrade bw=inf\n", "line 1", "bw=inf");
+  expectParseError("t=1 migrate R to N budget=-inf\n", "line 1",
+                   "budget=-inf");
+  // vlink takes exactly two endpoints and down|up.
+  expectParseError("t=5 vlink A\n", "line 1", "t=5 vlink A");
+  expectParseError("t=5 vlink A B\n", "line 1", "t=5 vlink A B");
+  expectParseError("t=5 vlink A B restore\n", "line 1", "restore");
+  expectParseError("t=5 vlink A B down C\n", "line 1", "t=5 vlink A B down C");
+  // A bad line is rejected even when later lines are fine.
+  expectParseError("t=5 bogus A B\nt=6 link A B down\n", "line 1", "bogus");
+  // Comments (indented too) and blank lines are not events.
   EXPECT_TRUE(fault::parseFaultSchedule("# comment\n\n").events.empty());
+  EXPECT_TRUE(
+      fault::parseFaultSchedule("  # indented\n\t#tab\n").events.empty());
+  EXPECT_EQ(fault::parseFaultSchedule("  # note\nt=1 link A B down\n")
+                .events.size(),
+            1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -231,6 +265,51 @@ TEST(CheckFaultSchedule, FlagsBadDegradeAndLifecycleAndOrder) {
   EXPECT_TRUE(report.hasCode("V113"));
 }
 
+TEST(CheckFaultSchedule, VlinkReferencesAndFailRestorePairing) {
+  const auto topology = topo::abileneMirrorSpec();
+  const struct {
+    const char* text;
+    const char* code;  ///< nullptr: no findings at all
+  } cases[] = {
+      // fail -> restore -> fail -> restore is a legitimate flap.
+      {"t=10 vlink Denver KansasCity down\n"
+       "t=20 vlink Denver KansasCity up\n"
+       "t=30 vlink Denver KansasCity down\n"
+       "t=40 vlink Denver KansasCity up\n",
+       nullptr},
+      // Both PoPs exist but Abilene has no direct Seattle-Houston span.
+      {"t=5 vlink Seattle Houston down\n", "V110"},
+      {"t=5 vlink Denver Nowhere down\n", "V110"},
+      // Restore before fail, and a double fail: errors, unlike `link`.
+      {"t=5 vlink Denver KansasCity up\n", "V112"},
+      {"t=10 vlink Denver KansasCity down\n"
+       "t=20 vlink Denver KansasCity down\n",
+       "V112"},
+  };
+  for (const auto& c : cases) {
+    check::Report report;
+    check::checkFaultSchedule(fault::parseFaultSchedule(c.text), report,
+                              &topology);
+    if (c.code == nullptr) {
+      EXPECT_TRUE(report.empty()) << c.text << report.format();
+      continue;
+    }
+    EXPECT_TRUE(report.hasCode(c.code)) << c.text << report.format();
+    EXPECT_TRUE(report.hasErrors()) << c.text << report.format();
+  }
+
+  // A virtual link and the physical link under it are separate layers:
+  // a substrate fault does not pair with a virtual-link restore.
+  check::Report layers;
+  check::checkFaultSchedule(
+      fault::parseFaultSchedule("t=10 link Denver KansasCity down\n"
+                                "t=20 vlink Denver KansasCity up\n"
+                                "t=30 link Denver KansasCity up\n"),
+      layers, &topology);
+  EXPECT_TRUE(layers.hasCode("V112")) << layers.format();
+  EXPECT_EQ(layers.countErrors(), 1u) << layers.format();
+}
+
 // ---------------------------------------------------------------------------
 // Injection
 
@@ -250,6 +329,61 @@ TEST(FaultInjector, LinkDownUpDrivesPhysicalLinks) {
   EXPECT_THROW(
       injector.apply(fault::parseFaultSchedule("t=1 link No Where down\n")),
       std::runtime_error);
+}
+
+TEST(FaultInjector, VlinkAndLinkEventsDriveTheOverlay) {
+  topo::WorldOptions options;
+  options.contention = 0.0;
+  auto world = topo::makeDeterWorld(options);
+  ASSERT_TRUE(world->runUntilConverged(60 * kSecond));
+  fault::FaultInjector injector(world->schedule, world->net,
+                                world->iias.get());
+  injector.apply(fault::parseFaultSchedule(
+      "t=100 vlink Src Fwdr down\n"
+      "t=140 vlink Src Fwdr up\n"
+      "t=200 link Src Fwdr down\n"
+      "t=240 link Src Fwdr up\n"
+      "t=300 vlink Src Fwdr down\n"
+      "t=305 link Src Fwdr down\n"
+      "t=310 link Src Fwdr up\n"
+      "t=400 vlink Src Fwdr up\n"));
+
+  // The scripted virtual-link failure kills the adjacency; the restore
+  // brings it back.
+  world->queue.runUntil(120 * kSecond);
+  EXPECT_FALSE(world->iias->allAdjacent());
+  world->queue.runUntil(170 * kSecond);
+  EXPECT_TRUE(world->iias->allAdjacent());
+
+  // Fate sharing: the virtual link over the failed physical link goes
+  // down with it and comes back with it.
+  const core::VirtualLink* vlink =
+      world->iias->slice().linkBetween("Src", "Fwdr");
+  world->queue.runUntil(201 * kSecond);
+  EXPECT_FALSE(vlink->isUp());
+  world->queue.runUntil(241 * kSecond);
+  EXPECT_TRUE(vlink->isUp());
+
+  // The underlay's recovery does not end a scripted virtual-link
+  // failure: the adjacency stays down until the vlink's own restore.
+  world->queue.runUntil(350 * kSecond);
+  EXPECT_FALSE(world->iias->allAdjacent());
+  world->queue.runUntil(430 * kSecond);
+  EXPECT_TRUE(world->iias->allAdjacent());
+
+  const auto& log = world->schedule.log();
+  ASSERT_EQ(log.size(), 8u);
+  EXPECT_EQ(log[0].label, "fault vlink Src-Fwdr down");
+  EXPECT_EQ(log[1].label, "fault vlink Src-Fwdr up");
+
+  // A vlink event needs an overlay, and a virtual link that exists.
+  fault::FaultInjector no_overlay(world->schedule, world->net);
+  EXPECT_THROW(no_overlay.apply(
+                   fault::parseFaultSchedule("t=500 vlink Src Fwdr down\n")),
+               std::runtime_error);
+  EXPECT_THROW(injector.apply(
+                   fault::parseFaultSchedule("t=500 vlink Src Sink down\n")),
+               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -555,6 +555,25 @@ TEST(Random, ForkStartsWithNoSpare) {
   EXPECT_EQ(with.normal(0.0, 1.0), spare);
 }
 
+TEST(Backoff, CappedExponentialWithOneDrawOnlyWhenJittered) {
+  const Backoff plain{kSecond, 2.0, 5 * kSecond, 0.0};
+  Random untouched(3), reference(3);
+  EXPECT_EQ(plain.delay(1, &untouched), kSecond);
+  EXPECT_EQ(plain.delay(3, &untouched), 4 * kSecond);
+  EXPECT_EQ(plain.delay(9, &untouched), 5 * kSecond);  // capped
+  EXPECT_EQ(untouched.uniform01(), reference.uniform01());  // no draw
+
+  // Jitter scales the capped delay by 1 + j * (2u - 1), one draw each.
+  const Backoff jittered{kSecond, 2.0, 5 * kSecond, 0.25};
+  Random stream(3), replay(3);
+  const double u = replay.uniform01();
+  EXPECT_EQ(jittered.delay(2, &stream),
+            static_cast<Duration>(2e9 * (1.0 + 0.25 * (2.0 * u - 1.0))));
+  EXPECT_EQ(stream.uniform01(), replay.uniform01());
+  // Without a stream there is nothing to draw from: no jitter.
+  EXPECT_EQ(jittered.delay(2, nullptr), 2 * kSecond);
+}
+
 // Kolmogorov-Smirnov distance between the sorted sample and a CDF.
 double ksDistance(std::vector<double> xs, const std::function<double(double)>& cdf) {
   std::sort(xs.begin(), xs.end());

@@ -1,9 +1,7 @@
-// Topology catalogue, rcc-style config parsing, and the ns-like
-// experiment-specification machinery (Section 6.2).
+// Topology catalogue, rcc-style config parsing, and ready-made worlds.
 #include <gtest/gtest.h>
 
 #include "topo/abilene.h"
-#include "topo/experiment_spec.h"
 #include "topo/router_config.h"
 #include "topo/worlds.h"
 
@@ -135,88 +133,6 @@ TEST(RouterConfig, EmitParseRoundTripsAbilene) {
                                : std::make_pair(link.b, link.a);
     EXPECT_EQ(link.igp_cost, want.at(key));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Experiment scripts
-
-TEST(ExperimentScript, ParsesActions) {
-  const auto actions = parseExperimentScript(R"(
-    # the Section 5.2 experiment
-    at 10.0 fail-link Denver KansasCity
-    at 34.0 restore-link Denver KansasCity
-    at 50.0 mark end-of-run
-  )");
-  ASSERT_EQ(actions.size(), 3u);
-  EXPECT_DOUBLE_EQ(actions[0].at_seconds, 10.0);
-  EXPECT_EQ(actions[0].verb, "fail-link");
-  EXPECT_EQ(actions[0].args, (std::vector<std::string>{"Denver", "KansasCity"}));
-  EXPECT_EQ(actions[2].verb, "mark");
-}
-
-TEST(ExperimentScript, RejectsMalformedLines) {
-  EXPECT_THROW(parseExperimentScript("fail-link A B"), std::runtime_error);
-  EXPECT_THROW(parseExperimentScript("at x fail-link A B"), std::runtime_error);
-  EXPECT_THROW(parseExperimentScript("at 5 explode A B"), std::runtime_error);
-  EXPECT_THROW(parseExperimentScript("at 5 fail-link A"), std::runtime_error);
-  EXPECT_THROW(parseExperimentScript("at -1 mark x"), std::runtime_error);
-}
-
-TEST(ExperimentScript, RejectsMissingOrExtraArguments) {
-  // A time with no verb at all.
-  EXPECT_THROW(parseExperimentScript("at 5"), std::runtime_error);
-  // mark wants exactly one label.
-  EXPECT_THROW(parseExperimentScript("at 5 mark"), std::runtime_error);
-  EXPECT_THROW(parseExperimentScript("at 5 mark a b"), std::runtime_error);
-  // Link verbs want exactly two endpoints.
-  EXPECT_THROW(parseExperimentScript("at 5 restore-link A"), std::runtime_error);
-  EXPECT_THROW(parseExperimentScript("at 5 fail-phys-link A B C"),
-               std::runtime_error);
-  // Bad lines are rejected even when later lines are fine.
-  EXPECT_THROW(parseExperimentScript("at 5 bogus A B\nat 6 mark ok\n"),
-               std::runtime_error);
-}
-
-TEST(ExperimentScript, RejectsNonNumericTimes) {
-  EXPECT_THROW(parseExperimentScript("at ten mark x"), std::runtime_error);
-  EXPECT_THROW(parseExperimentScript("at 1.2.3 mark x"), std::runtime_error);
-  EXPECT_THROW(parseExperimentScript("at nan.0 mark x"), std::runtime_error);
-}
-
-TEST(ExperimentScript, DrivesIiasFailures) {
-  WorldOptions options;
-  options.contention = 0.0;
-  auto world = makeDeterWorld(options);
-  ASSERT_TRUE(world->runUntilConverged(60 * kSecond));
-  const auto actions = parseExperimentScript(
-      "at 100.0 fail-link Src Fwdr\n"
-      "at 140.0 restore-link Src Fwdr\n"
-      "at 150.0 mark done\n");
-  applyExperimentScript(actions, world->schedule, world->iias.get(), &world->net);
-
-  world->queue.runUntil(120 * kSecond);
-  // After the scripted failure the adjacency dies.
-  EXPECT_FALSE(world->iias->allAdjacent());
-  world->queue.runUntil(170 * kSecond);
-  EXPECT_TRUE(world->iias->allAdjacent());
-  ASSERT_EQ(world->schedule.log().size(), 3u);
-  EXPECT_EQ(world->schedule.log()[2].label, "mark done");
-}
-
-TEST(ExperimentScript, DrivesPhysicalFailures) {
-  WorldOptions options;
-  options.contention = 0.0;
-  auto world = makeDeterWorld(options);
-  ASSERT_TRUE(world->runUntilConverged(60 * kSecond));
-  const auto actions = parseExperimentScript(
-      "at 100.0 fail-phys-link Src Fwdr\n"
-      "at 140.0 restore-phys-link Src Fwdr\n");
-  applyExperimentScript(actions, world->schedule, world->iias.get(), &world->net);
-  world->queue.runUntil(101 * kSecond);
-  // Fate sharing: the virtual link over that physical link went down.
-  EXPECT_FALSE(world->iias->slice().linkBetween("Src", "Fwdr")->isUp());
-  world->queue.runUntil(141 * kSecond);
-  EXPECT_TRUE(world->iias->slice().linkBetween("Src", "Fwdr")->isUp());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,27 +1,23 @@
 // vini_lint: lint experiment specs before they touch the substrate.
 //
-// Validates the three file formats users author — router configurations
-// (.conf, the rcc-style format of topo/router_config.h), experiment
-// scripts (.exp, topo/experiment_spec.h), and fault schedules (.trace,
-// fault/fault.h, plain link up/down traces included) — and exits
-// nonzero if any error-severity diagnostic is found, so it can gate CI.
+// Validates the two file formats users author — router configurations
+// (.conf, the rcc-style format of topo/router_config.h) and fault
+// schedules (.trace, fault/fault.h: scripted virtual-link failures and
+// plain link up/down traces included) — and exits nonzero if any
+// error-severity diagnostic is found, so it can gate CI.
 //
-//   vini_lint [options] <file>...
+//   vini_lint [--quiet] <file>...
 //
-// A .conf file defines the reference topology for every script/trace
-// that follows it on the command line, so link references resolve.
+// A .conf file defines the reference topology for every trace that
+// follows it on the command line, so link references resolve.
 //
-//   vini_lint examples/specs/abilene.conf examples/specs/denver_failover.exp
+//   vini_lint examples/specs/abilene.conf examples/specs/denver_failover.trace
 //
 // Options:
-//   --horizon <seconds>   flag actions/events past this time (V012)
-//   --no-iias             the experiment has no IIAS overlay (V014)
-//   --no-phys             the experiment has no substrate (V014)
 //   --quiet               print only the summary line
 //
 // See src/check/checkers.h for the full check-code catalogue (V0xx
 // static checks, V11x fault-schedule checks).
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -32,14 +28,12 @@
 #include "check/checkers.h"
 #include "check/diagnostic.h"
 #include "fault/fault.h"
-#include "topo/experiment_spec.h"
 #include "topo/router_config.h"
 
 namespace {
 
 void usage(std::ostream& os) {
-  os << "usage: vini_lint [--horizon <seconds>] [--no-iias] [--no-phys]\n"
-        "                 [--quiet] <file.conf|file.exp|file.trace>...\n"
+  os << "usage: vini_lint [--quiet] <file.conf|file.trace>...\n"
         "\n"
         "Lints VINI experiment specifications; exits 1 if any error is\n"
         "found.  A .conf topology applies to the files that follow it.\n";
@@ -61,9 +55,6 @@ std::optional<std::string> readFile(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double horizon_seconds = 0.0;
-  bool has_iias = true;
-  bool has_phys = true;
   bool quiet = false;
   std::vector<std::string> files;
 
@@ -72,21 +63,6 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       usage(std::cout);
       return 0;
-    } else if (arg == "--horizon") {
-      if (i + 1 >= argc) {
-        std::cerr << "vini_lint: --horizon needs a value\n";
-        return 2;
-      }
-      try {
-        horizon_seconds = std::stod(argv[++i]);
-      } catch (const std::exception&) {
-        std::cerr << "vini_lint: bad --horizon value '" << argv[i] << "'\n";
-        return 2;
-      }
-    } else if (arg == "--no-iias") {
-      has_iias = false;
-    } else if (arg == "--no-phys") {
-      has_phys = false;
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -103,7 +79,7 @@ int main(int argc, char** argv) {
   }
 
   vini::check::Report report;
-  // The most recent topology; scripts and traces resolve against it.
+  // The most recent topology; traces resolve against it.
   std::optional<vini::core::TopologySpec> topology;
 
   for (const std::string& path : files) {
@@ -123,18 +99,6 @@ int main(int argc, char** argv) {
       } catch (const std::exception& e) {
         report.error("V099", path, e.what());
       }
-    } else if (endsWith(path, ".exp") || endsWith(path, ".script")) {
-      try {
-        const auto actions = vini::topo::parseExperimentScript(*text);
-        vini::check::ScriptContext context;
-        context.topology = topology ? &*topology : nullptr;
-        context.has_iias = has_iias;
-        context.has_phys = has_phys;
-        context.horizon_seconds = horizon_seconds;
-        vini::check::checkExperimentScript(actions, context, report);
-      } catch (const std::exception& e) {
-        report.error("V099", path, e.what());
-      }
     } else if (endsWith(path, ".trace")) {
       try {
         vini::check::checkFaultSchedule(vini::fault::parseFaultSchedule(*text),
@@ -145,7 +109,7 @@ int main(int argc, char** argv) {
       }
     } else {
       report.error("V099", path,
-                   "unknown file type (expected .conf, .exp, or .trace)");
+                   "unknown file type (expected .conf or .trace)");
     }
   }
 

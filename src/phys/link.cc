@@ -179,16 +179,51 @@ void Channel::startFrame(packet::PacketBox p, std::uint32_t queue_span) {
   VINI_OBS_TRACE(
       channelRecord(obs::TraceEvent::kSerializeStart, now, *p, trace_link_));
   const std::uint32_t serialize_span = spanOpen(*p, span_serialize_, now);
+  const sim::Time arrived_at = busy_until_ + config_.propagation;
   const bool lost =
       config_.loss_rate > 0.0 && rng().chance(config_.loss_rate);
-  // The arrival event belongs to the *receiving* node — this is the
+  // A lost frame never reaches the receiving NIC; it is settled at its
+  // arrival.
+  const sim::Time deliver_at = lost ? arrived_at : receiveAt(arrived_at);
+  // The delivery event belongs to the *receiving* node — this is the
   // cross-node edge whose propagation delay bounds the conservative
   // lookahead window.
-  queue_.schedule(busy_until_ + config_.propagation, "phys.link", rx_node_,
+  queue_.schedule(deliver_at, "phys.link", rx_node_,
                   [this, p = std::move(p), serialized_at = busy_until_,
-                   serialize_span, lost]() mutable {
-                    arrive(std::move(p), serialized_at, serialize_span, lost);
+                   arrived_at, serialize_span, lost]() mutable {
+                    arrive(std::move(p), serialized_at, arrived_at,
+                           serialize_span, lost);
                   });
+}
+
+sim::Duration sampleNicLatency(sim::Random& random, sim::Duration mean,
+                               double jitter) {
+  if (mean <= 0) return 0;
+  const double m = static_cast<double>(mean);
+  const double sample = random.normal(m, m * jitter);
+  return static_cast<sim::Duration>(std::clamp(sample, 0.2 * m, 3.0 * m));
+}
+
+sim::Time Channel::receiveAt(sim::Time arrived_at) {
+  if (rx_stage_ == nullptr) return arrived_at;
+  const RxStage& rx = *rx_stage_;
+  // Delivery stays FIFO: jittered latencies must not reorder a burst,
+  // or TCP sees phantom reordering and spurious dup-ACKs.  The latency
+  // is drawn when the receive path is quiet; inside a burst, frames
+  // already arrive paced by the wire and pass straight through
+  // (re-sampling per frame would ratchet spacing and act as a phantom
+  // bottleneck).
+  sim::Time at = last_deliver_ > arrived_at
+                     ? last_deliver_
+                     : arrived_at +
+                           sampleNicLatency(rng(), rx.latency_mean, rx.jitter);
+  if (rx.spike_probability > 0 && rng().chance(rx.spike_probability)) {
+    at += rng().uniformDuration(rx.spike_min, rx.spike_max);
+  }
+  last_deliver_ = at;
+  // Spikes stack inside a burst, so the hold is tracked, not bounded.
+  longest_hold_ = std::max(longest_hold_, at - arrived_at);
+  return at;
 }
 
 bool LinkState::upAt(sim::Time t) const {
@@ -203,7 +238,8 @@ bool LinkState::upAt(sim::Time t) const {
 }
 
 void Channel::arrive(packet::PacketBox p, sim::Time serialized_at,
-                     std::uint32_t serialize_span, bool lost) {
+                     sim::Time arrived_at, std::uint32_t serialize_span,
+                     bool lost) {
   const sim::Time now = queue_.now();
   auto drop = [&](std::uint64_t& count, [[maybe_unused]] obs::Counter* metric,
                   [[maybe_unused]] obs::TraceEvent event, const char* reason,
@@ -224,14 +260,15 @@ void Channel::arrive(packet::PacketBox p, sim::Time serialized_at,
          "wire_loss", serialized_at);
     return;
   }
-  spanClose(spanOpen(*p, span_propagation_, serialized_at), now);
+  spanClose(spanOpen(*p, span_propagation_, serialized_at), arrived_at);
   // A link that died mid-flight eats the packet: physical fate sharing.
-  if (!link_.up) {
+  // A frame already in the receiving NIC is past the wire's fate.
+  if (!link_.upAt(arrived_at)) {
     drop(arrival_drops_.down_drops, m_down_drops_, obs::TraceEvent::kDownDrop,
-         "link_down_midflight", now);
+         "link_down_midflight", arrived_at);
     return;
   }
-  if (deliver_) deliver_(std::move(p));
+  if (deliver_) deliver_(std::move(p), arrived_at);
 }
 
 PhysLink::PhysLink(int id, std::string name, NodeId a, NodeId b,
@@ -255,13 +292,17 @@ PhysLink::PhysLink(int id, std::string name, NodeId a, NodeId b,
 void PhysLink::setUp(bool up) {
   if (up == state_.up) return;
   state_.up = up;
-  // A frame in flight arrives at or after now, so it finished
-  // serializing at or after now minus its propagation delay; older
-  // transitions can no longer decide any frame's fate.
+  // An undelivered frame is delivered at or after now, so it finished
+  // serializing at or after now minus its propagation delay and its
+  // receive hold; older transitions can no longer decide any frame's
+  // fate.
   const sim::Time now = queue_.now();
+  const sim::Time horizon =
+      now - longest_propagation_ -
+      std::max(ab_.longestHold(), ba_.longestHold());
   std::vector<sim::Time>& log = state_.transitions;
   auto stale = log.begin();
-  while (stale != log.end() && *stale <= now - longest_propagation_) ++stale;
+  while (stale != log.end() && *stale <= horizon) ++stale;
   log.erase(log.begin(), stale);
   log.push_back(now);
   for (auto& listener : listeners_) listener(*this, up);

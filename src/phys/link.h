@@ -9,8 +9,11 @@
 //
 // A FIFO wire knows a frame's whole schedule when the frame starts
 // serializing, so a channel spends one engine event per frame: its
-// arrival at the receiver.  The link's fate checks at the end of
-// serialization are settled at arrival from the link's log of recent
+// delivery to the receiver.  When the receiving node has a NIC receive
+// stage (RxStage), the channel also draws the frame's receive latency
+// then, and the one event fires when the receiving kernel takes the
+// frame.  The link's fate checks at the end of serialization and at
+// arrival are settled by that event from the link's log of recent
 // up/down transitions (DESIGN §13).
 #pragma once
 
@@ -49,6 +52,28 @@ struct ChannelStats {
   std::uint64_t down_drops = 0;
 };
 
+/// The receiving NIC of a node: DMA + interrupt latency per frame,
+/// pipelined (a pure delay), fixed for the node's lifetime.  The host
+/// stack installs it on its PhysNode (PhysNode::setRxStage); a channel
+/// into the node applies it to every frame it delivers.  A zero mean
+/// hands frames on at their arrival.
+struct RxStage {
+  sim::Duration latency_mean = 0;
+  /// Relative jitter (stddev / mean) of the latency.
+  double jitter = 0.0;
+  /// Per-frame probability of an extra uniform(spike_min, spike_max)
+  /// delay (softirq backlog on a busy production host).
+  double spike_probability = 0.0;
+  sim::Duration spike_min = 0;
+  sim::Duration spike_max = 0;
+};
+
+/// One NIC latency: normal(mean, mean * jitter) clamped to
+/// [0.2, 3] * mean; 0 for a non-positive mean.  Both NIC directions
+/// (the host's transmit ring and a node's RxStage) draw through it.
+sim::Duration sampleNicLatency(sim::Random& random, sim::Duration mean,
+                               double jitter);
+
 /// A link's up/down state as its channels read it: the current state
 /// and the times of the transitions frames still in flight may need,
 /// oldest first.  PhysLink owns and writes it (setUp(), serial under the
@@ -64,7 +89,11 @@ struct LinkState {
 /// One direction of a physical link.
 class Channel {
  public:
-  using DeliverFn = std::function<void(packet::PacketBox)>;
+  /// Takes over the box; `arrived_at` is when the frame's last bit
+  /// reached the receiver, at or before now (the receive hold between
+  /// them is the RxStage's).
+  using DeliverFn =
+      std::function<void(packet::PacketBox, sim::Time arrived_at)>;
 
   /// `label` identifies this direction for observability ("Denver-
   /// KansasCity/ab"); when non-empty and an obs context is installed,
@@ -81,12 +110,17 @@ class Channel {
           sim::NodeTag rx_node = sim::kNoNode);
 
   /// Enqueue a packet for transmission; it is delivered to the receiver's
-  /// handler after queueing + serialization + propagation, unless dropped
-  /// (a drop frees the box).
+  /// handler after queueing + serialization + propagation + the receive
+  /// stage's hold, unless dropped (a drop frees the box).
   void transmit(packet::PacketBox p);
 
-  /// The receiving node installs its delivery handler here.
-  void setDeliverHandler(DeliverFn fn) { deliver_ = std::move(fn); }
+  /// The receiving node installs its delivery handler here, and the
+  /// receive stage every frame passes through (null: none).  The stage
+  /// is read when each frame starts serializing.
+  void setDeliverHandler(DeliverFn fn, const RxStage* rx_stage = nullptr) {
+    deliver_ = std::move(fn);
+    rx_stage_ = rx_stage;
+  }
 
   ChannelStats stats() const {
     ChannelStats s = stats_;
@@ -102,17 +136,25 @@ class Channel {
   /// fixed when it starts serializing.
   void setConfig(const LinkConfig& config) { config_ = config; }
 
+  /// The longest receive hold (delivery minus arrival) this channel has
+  /// granted a frame.  Written by the transmitting node's events; the
+  /// link reads it in setUp(), which runs serially.
+  sim::Duration longestHold() const { return longest_hold_; }
+
  private:
-  /// Put `p` on the (idle) wire now: count it, draw its loss and
-  /// schedule its arrival.  `queue_span` is its queueing span.
+  /// Put `p` on the (idle) wire now: count it, draw its loss and its
+  /// receive hold, and schedule its delivery.  `queue_span` is its
+  /// queueing span.
   void startFrame(packet::PacketBox p, std::uint32_t queue_span);
   /// The wire-free event: start the frame at the head of the queue.
   void startQueued();
-  /// The arrival event: settle the frame's fate and hand it on.
+  /// When the receive stage hands on a frame that arrives at
+  /// `arrived_at`: FIFO behind the previous frame, else after a latency
+  /// draw, plus any spike.  Records the hold granted.
+  sim::Time receiveAt(sim::Time arrived_at);
+  /// The delivery event: settle the frame's fate and hand it on.
   void arrive(packet::PacketBox p, sim::Time serialized_at,
-              std::uint32_t serialize_span, bool lost);
-  /// Whether the link was up at `t`, after any transitions at `t`.
-  bool upAt(sim::Time t) const;
+              sim::Time arrived_at, std::uint32_t serialize_span, bool lost);
 
   // Span plumbing for traced packets (meta.trace_id != 0): the link hop
   // decomposes into queueing, serialization, and propagation spans, and
@@ -135,9 +177,17 @@ class Channel {
   LinkConfig config_;
   const LinkState& link_;
   DeliverFn deliver_;
-  /// The sender's box rides through the queue and the arrival event and
+  const RxStage* rx_stage_ = nullptr;
+  /// When the receive stage hands on the last frame it was given, and
+  /// the longest hold it has granted.  The receive FIFO is per incoming
+  /// link, like the transmit ring: each channel into a node is fed by
+  /// its own transmitting lane.  Written by the transmitting node's
+  /// events only.
+  sim::Time last_deliver_ = 0;
+  sim::Duration longest_hold_ = 0;
+  /// The sender's box rides through the queue and the delivery event and
   /// is handed on to deliver_, so a link hop neither allocates nor
-  /// copies the 144-byte Packet, and the arrival callback captures only
+  /// copies the 144-byte Packet, and the delivery callback captures only
   /// a pointer and the frame's schedule — small enough for the event
   /// queue's inline storage.
   struct Queued {
@@ -245,8 +295,9 @@ class PhysLink {
   bool degraded_ = false;
   LinkConfig base_config_;
   /// Read by both channels.  A transition at or before now minus the
-  /// longest propagation delay either channel has used is older than
-  /// every frame in flight's end of serialization, so setUp() drops it.
+  /// longest propagation delay either channel has used and the longest
+  /// receive hold either has granted is older than every undelivered
+  /// frame's end of serialization, so setUp() drops it.
   LinkState state_;
   sim::Duration longest_propagation_ = 0;
   Channel ab_;

@@ -14,9 +14,11 @@ PhysNode::PhysNode(NodeId id, std::string name, sim::EventQueue& queue,
 void PhysNode::attachLink(PhysLink& link) {
   links_.push_back(&link);
   link.channelFrom(link.peerOf(id_))
-      .setDeliverHandler([this, &link](packet::PacketBox p) {
-        if (handler_) handler_(std::move(p), link);
-      });
+      .setDeliverHandler(
+          [this, &link](packet::PacketBox p, sim::Time arrived_at) {
+            if (handler_) handler_(std::move(p), link, arrived_at);
+          },
+          &rx_stage_);
 }
 
 }  // namespace vini::phys

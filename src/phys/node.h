@@ -2,9 +2,10 @@
 //
 // A PhysNode models one machine of the fixed infrastructure — a PlanetLab
 // server co-located with an Abilene PoP, or a DETER testbed PC.  It owns
-// a CPU scheduler (slices contend here) and the attachment points for its
-// links; the host networking stack (tcpip::HostStack) registers a
-// delivery handler to receive packets arriving on any attached link.
+// a CPU scheduler (slices contend here), the attachment points for its
+// links and its NIC receive stage; the host networking stack
+// (tcpip::HostStack) installs the stage and registers a delivery handler
+// to receive packets arriving on any attached link.
 #pragma once
 
 #include <functional>
@@ -21,9 +22,11 @@ namespace vini::phys {
 
 class PhysNode {
  public:
-  /// Handler invoked when a packet arrives on an attached link; it takes
-  /// over the box the sender created.
-  using PacketHandler = std::function<void(packet::PacketBox, PhysLink&)>;
+  /// Handler invoked when the receive stage hands on a packet that
+  /// arrived on an attached link at `arrived_at`; it takes over the box
+  /// the sender created.
+  using PacketHandler =
+      std::function<void(packet::PacketBox, PhysLink&, sim::Time arrived_at)>;
 
   PhysNode(NodeId id, std::string name, sim::EventQueue& queue,
            cpu::SchedulerConfig cpu_config);
@@ -47,6 +50,12 @@ class PhysNode {
   /// The host stack installs itself here.
   void setPacketHandler(PacketHandler handler) { handler_ = std::move(handler); }
 
+  /// The NIC receive stage every attached link's channel into this node
+  /// applies (zero latency by default).  Set it before traffic flows:
+  /// channels read it when a frame starts serializing, on the sender's
+  /// lane.
+  void setRxStage(const RxStage& stage) { rx_stage_ = stage; }
+
  private:
   NodeId id_;
   std::string name_;
@@ -54,6 +63,7 @@ class PhysNode {
   packet::IpAddress address_;
   std::vector<PhysLink*> links_;
   PacketHandler handler_;
+  RxStage rx_stage_;
 };
 
 }  // namespace vini::phys

@@ -109,9 +109,13 @@ HostStack::HostStack(phys::PhysNode& node, phys::PhysNetwork& net,
   local_addrs_.insert(node.address());
   // Default route: everything not otherwise routed exits the underlay NIC.
   rt_.addRoute(Route{packet::Prefix::defaultRoute(), underlay_.get(), {}, 100});
-  node_.setPacketHandler([this](packet::PacketBox p, phys::PhysLink&) {
-    onWirePacket(std::move(p));
-  });
+  node_.setRxStage(phys::RxStage{config_.rx_latency_mean, config_.nic_jitter,
+                                 config_.rx_spike_probability,
+                                 config_.rx_spike_min, config_.rx_spike_max});
+  node_.setPacketHandler(
+      [this](packet::PacketBox p, phys::PhysLink&, sim::Time arrived_at) {
+        onWirePacket(std::move(p), arrived_at);
+      });
   kernel_accounting_start_ = queue().now();
   // Unconditional (not obs-gated): node attribution is engine-level
   // bookkeeping for the shard-readiness telemetry, and passive either way.
@@ -139,11 +143,12 @@ HostStack::HostStack(phys::PhysNode& node, phys::PhysNetwork& net,
   }
 }
 
-std::uint32_t HostStack::spanOpen(const packet::Packet& p, std::int16_t layer) {
+std::uint32_t HostStack::spanOpen(const packet::Packet& p, std::int16_t layer,
+                                  sim::Time t) {
   if (p.meta.trace_id == 0) return 0;
   if (obs::Obs* ctx = VINI_OBS_CTX()) {
-    return ctx->spans.open(p.meta.trace_id, layer, queue().now(), span_node_,
-                           -1, static_cast<std::uint32_t>(p.ipPacketBytes()));
+    return ctx->spans.open(p.meta.trace_id, layer, t, span_node_, -1,
+                           static_cast<std::uint32_t>(p.ipPacketBytes()));
   }
   return 0;
 }
@@ -258,44 +263,15 @@ void HostStack::unregisterTcpListener(std::uint16_t port) {
   tcp_listeners_.erase(port);
 }
 
-sim::Duration HostStack::sampleNicLatency(sim::Duration mean) {
-  if (mean <= 0) return 0;
-  auto& rnd = rng();
-  const double m = static_cast<double>(mean);
-  const double sample = rnd.normal(m, m * config_.nic_jitter);
-  return static_cast<sim::Duration>(std::clamp(sample, 0.2 * m, 3.0 * m));
-}
-
-void HostStack::onWirePacket(packet::PacketBox p) {
-  // NIC receive path: DMA + interrupt latency, pipelined (pure delay).
-  // Delivery is kept FIFO: jittered latencies must not reorder a burst,
-  // or TCP sees phantom reordering and spurious dup-ACKs.
-  // Jitter the interrupt latency when the receive path is quiet; inside
-  // a burst, packets already arrive paced by the wire and pass straight
-  // through (re-sampling per packet would ratchet spacing and act as a
-  // phantom bottleneck).
-  const sim::Time now = queue().now();
-  sim::Time deliver_at;
-  if (last_rx_delivery_ > now) {
-    deliver_at = last_rx_delivery_;
-  } else {
-    deliver_at = now + sampleNicLatency(config_.rx_latency_mean);
-  }
-  if (config_.rx_spike_probability > 0 &&
-      rng().chance(config_.rx_spike_probability)) {
-    deliver_at += rng().uniformDuration(config_.rx_spike_min,
-                                        config_.rx_spike_max);
-  }
-  last_rx_delivery_ = deliver_at;
+void HostStack::onWirePacket(packet::PacketBox p, sim::Time arrived_at) {
+  // The NIC receive latency was the channel's hold: the node's RxStage
+  // scheduled this delivery, so the packet enters the kernel now.
   VINI_OBS_INC(m_rx_packets_);
-  VINI_OBS_TRACE(hostRecord(obs::TraceEvent::kIngress, now, *p, trace_node_));
-  const std::uint32_t rx_span = spanOpen(*p, span_nic_rx_);
-  queue().schedule(deliver_at, "tcpip.host", node_tag_,
-                   [this, p = std::move(p), rx_span]() mutable {
-    spanClose(rx_span);
-    if (rx_trace_) rx_trace_(*p);
-    processPacket(std::move(p));
-  });
+  VINI_OBS_TRACE(hostRecord(obs::TraceEvent::kIngress, queue().now(), *p,
+                            trace_node_));
+  spanClose(spanOpen(*p, span_nic_rx_, arrived_at));
+  if (rx_trace_) rx_trace_(*p);
+  processPacket(std::move(p));
 }
 
 void HostStack::injectFromTun(packet::Packet p) {
@@ -455,7 +431,7 @@ void HostStack::forwardPacket(packet::PacketBox p) {
   const sim::Time start = std::max(now, kernel_busy_until_);
   kernel_busy_until_ = start + cost;
   kernel_cpu_ += cost;
-  const std::uint32_t fwd_span = spanOpen(*p, span_kernel_fwd_);
+  const std::uint32_t fwd_span = spanOpen(*p, span_kernel_fwd_, now);
   queue().scheduleAfter(kernel_busy_until_ - now, "tcpip.host", node_tag_,
                         [this, p = std::move(p), fwd_span]() mutable {
                           spanClose(fwd_span);
@@ -533,13 +509,14 @@ void HostStack::transmitUnderlay(packet::PacketBox p) {
   // Jitter applies when the NIC ramps up from idle; a back-to-back burst
   // stays perfectly paced at the serialization rate (re-sampling jitter
   // per packet would ratchet the spacing up and silently tax throughput).
-  const sim::Duration latency = back_to_back
-                                    ? config_.tx_latency_mean
-                                    : sampleNicLatency(config_.tx_latency_mean);
+  const sim::Duration latency =
+      back_to_back ? config_.tx_latency_mean
+                   : phys::sampleNicLatency(rng(), config_.tx_latency_mean,
+                                            config_.nic_jitter);
   sim::Time wire_at = nic.busy_until + latency;
   if (wire_at < nic.last_wire) wire_at = nic.last_wire;  // keep FIFO
   nic.last_wire = wire_at;
-  const std::uint32_t tx_span = spanOpen(*p, span_nic_tx_);
+  const std::uint32_t tx_span = spanOpen(*p, span_nic_tx_, now);
   const bool was_idle = nic.queue.empty();
   nic.queue.push_back(NicTx{std::move(p), link, tx_span, wire_at});
   if (was_idle) {

@@ -6,6 +6,9 @@
 // the TCP implementation registers into.  Per-packet host costs (NIC/
 // interrupt latency, kernel forwarding cost) are modelled here; they are
 // what separate "Network" rows from IIAS rows in the microbenchmarks.
+// The receive half of the NIC model is the node's phys::RxStage, which
+// the stack installs: the channel that carries a packet in draws its
+// receive latency and delivers it to the kernel in one event.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +31,10 @@ namespace vini::tcpip {
 
 struct HostConfig {
   /// NIC/driver/interrupt latency per packet (sampled with jitter).
+  /// Both directions draw through phys::sampleNicLatency; the receive
+  /// side (rx_latency_mean, nic_jitter, rx_spike_*) becomes the node's
+  /// phys::RxStage, applied per incoming link by the channel that
+  /// delivers the packet.
   /// Calibrated against Table 3's Network row: ping -f across one
   /// kernel forwarder measures 0.193/0.414/0.593 (min/avg/max ms).
   sim::Duration tx_latency_mean = 28 * sim::kMicrosecond;
@@ -306,29 +313,32 @@ class HostStack {
   void noteSocketBufferDrop(const packet::Packet& p);
 
  private:
-  /// The receive/forward chain passes the sender's box through its
-  /// NIC-receive and kernel-forwarding events, so each event callback
-  /// captures a pointer (small enough for the event queue's inline
-  /// storage) instead of the full Packet; deliverLocal() is where the
-  /// packet finally leaves its box.
-  void onWirePacket(packet::PacketBox p);
+  /// The receive/forward chain passes the sender's box through the
+  /// channel's delivery event and the kernel-forwarding event, so each
+  /// event callback captures a pointer (small enough for the event
+  /// queue's inline storage) instead of the full Packet; deliverLocal()
+  /// is where the packet finally leaves its box.  onWirePacket() runs
+  /// inside the delivery event, once the RxStage's hold has passed.
+  void onWirePacket(packet::PacketBox p, sim::Time arrived_at);
   void processPacket(packet::PacketBox p);
   void deliverLocal(packet::Packet p);
   void forwardPacket(packet::PacketBox p);
   void routeAndTransmit(packet::PacketBox p);
-  sim::Duration sampleNicLatency(sim::Duration mean);
   /// Fire the head-of-ring wire event for `link_id` and chain the next.
   void nicComplete(int link_id);
-  /// The stack RNG: the shared network RNG, or (sharded queue) a
-  /// per-stack fork of it so lane-side draws cannot race or reorder.
+  /// The stack RNG (transmit latency draws): the shared network RNG, or
+  /// (sharded queue) a per-stack fork of it so lane-side draws cannot
+  /// race or reorder.
   sim::Random& rng() {
     return lane_random_ ? *lane_random_ : net_.random();
   }
 
   // Span plumbing for traced packets: NIC receive, kernel forwarding,
   // and NIC transmit become hop spans; every drop site closes the
-  // packet's root span with a reason.
-  std::uint32_t spanOpen(const packet::Packet& p, std::int16_t layer);
+  // packet's root span with a reason.  A span opens at `t` and closes
+  // now.
+  std::uint32_t spanOpen(const packet::Packet& p, std::int16_t layer,
+                         sim::Time t);
   void spanClose(std::uint32_t span_id);
   void spanRootDrop(const packet::Packet& p, const char* reason);
 
@@ -381,7 +391,6 @@ class HostStack {
   };
   /// Indexed by PhysLink::id() (dense); grown on first use of a link.
   std::vector<NicState> nic_state_;
-  sim::Time last_rx_delivery_ = 0;
   sim::Time kernel_busy_until_ = 0;
   sim::Duration kernel_cpu_ = 0;
   sim::Time kernel_accounting_start_ = 0;
@@ -395,8 +404,8 @@ class HostStack {
   /// construction; shard-readiness telemetry, passive).
   sim::NodeTag node_tag_ = sim::kNoNode;
   /// Engaged only when the queue is sharded: a construction-time fork of
-  /// the network RNG, so this stack's latency/spike draws form their own
-  /// stream regardless of how lanes interleave (see rng()).
+  /// the network RNG, so this stack's transmit latency draws form their
+  /// own stream regardless of how lanes interleave (see rng()).
   std::optional<sim::Random> lane_random_;
   // Observability handles, cached at construction (null when no obs
   // context is installed).

@@ -262,7 +262,7 @@ TEST(Reconciliation, ChannelDropsMatchAcrossTracerRegistryAndStats) {
   phys::Channel channel(q, random, config, link, "A-B/ab");
 
   std::uint64_t delivered = 0;
-  channel.setDeliverHandler([&](packet::PacketBox) { ++delivered; });
+  channel.setDeliverHandler([&](packet::PacketBox, sim::Time) { ++delivered; });
 
   auto makePacket = [](int i) {
     auto p = std::make_unique<packet::Packet>(packet::Packet::udp(
@@ -345,7 +345,7 @@ TEST(Reconciliation, InstrumentationIsPassive) {
     config.loss_rate = 0.3;
     phys::Channel channel(q, random, config, link, with_obs ? "L/ab" : "");
     std::vector<std::uint64_t> delivered_seqs;
-    channel.setDeliverHandler([&](packet::PacketBox p) {
+    channel.setDeliverHandler([&](packet::PacketBox p, sim::Time) {
       delivered_seqs.push_back(p->meta.app_seq);
     });
     for (int i = 0; i < 30; ++i) {

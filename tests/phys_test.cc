@@ -44,7 +44,7 @@ TEST(Channel, DeliversAfterSerializationAndPropagation) {
   TwoNodes world(config);
 
   sim::Time delivered_at = -1;
-  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { delivered_at = world.queue.now(); });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&, sim::Time) { delivered_at = world.queue.now(); });
   packet::PacketBox p = smallPacket(world.a->address(), world.b->address(), 1000);
   const auto wire_bits = static_cast<double>(p->wireBytes()) * 8.0;
   world.link->channelFrom(world.a->id()).transmit(std::move(p));
@@ -60,7 +60,7 @@ TEST(Channel, BackToBackPacketsSerializeSequentially) {
   TwoNodes world(config);
 
   std::vector<sim::Time> deliveries;
-  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { deliveries.push_back(world.queue.now()); });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&, sim::Time) { deliveries.push_back(world.queue.now()); });
   for (int i = 0; i < 3; ++i) {
     world.link->channelFrom(world.a->id()).transmit(
         smallPacket(world.a->address(), world.b->address(), 100));
@@ -79,7 +79,7 @@ TEST(Channel, DropTailQueueOverflowCounts) {
   TwoNodes world(config);
 
   int delivered = 0;
-  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { ++delivered; });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&, sim::Time) { ++delivered; });
   auto& channel = world.link->channelFrom(world.a->id());
   for (int i = 0; i < 20; ++i) {
     channel.transmit(smallPacket(world.a->address(), world.b->address(), 100));
@@ -96,7 +96,7 @@ TEST(Channel, RandomLossDropsApproximatelyTheConfiguredFraction) {
   TwoNodes world(config);
 
   int delivered = 0;
-  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { ++delivered; });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&, sim::Time) { ++delivered; });
   auto& channel = world.link->channelFrom(world.a->id());
   const int total = 5000;
   for (int i = 0; i < total; ++i) {
@@ -111,7 +111,7 @@ TEST(Channel, RandomLossDropsApproximatelyTheConfiguredFraction) {
 TEST(Channel, DownLinkEatsPackets) {
   TwoNodes world;
   int delivered = 0;
-  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { ++delivered; });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&, sim::Time) { ++delivered; });
   world.link->setUp(false);
   auto& channel = world.link->channelFrom(world.a->id());
   channel.transmit(smallPacket(world.a->address(), world.b->address()));
@@ -125,7 +125,7 @@ TEST(Channel, MidFlightFailureDropsPacket) {
   config.propagation = 10 * kMillisecond;
   TwoNodes world(config);
   int delivered = 0;
-  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { ++delivered; });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&, sim::Time) { ++delivered; });
   world.link->channelFrom(world.a->id())
       .transmit(smallPacket(world.a->address(), world.b->address()));
   // Fail the link while the packet is propagating.
@@ -142,17 +142,20 @@ TEST(Channel, MidFlightFailureDropsPacket) {
 
 /// Sends one traced 100-byte frame at t = 0 over a 1 Mb/s link with
 /// 10 ms of propagation (serialization ends at 1.328 ms, arrival at
-/// 11.328 ms), applies `flaps` as (time, up) transitions, and returns
-/// the frame's fate: "delivered" or the drop reason on its root span.
-std::string fateOfOneFrame(const std::vector<std::pair<sim::Time, bool>>& flaps) {
+/// 11.328 ms) into a node with receive stage `rx`, applies `flaps` as
+/// (time, up) transitions, and returns the frame's fate: "delivered" or
+/// the drop reason on its root span.
+std::string fateOfOneFrame(const std::vector<std::pair<sim::Time, bool>>& flaps,
+                           const RxStage& rx = {}) {
   obs::ScopedObs scope;
   LinkConfig config;
   config.bandwidth_bps = 1e6;
   config.propagation = 10 * kMillisecond;
   TwoNodes world(config);
+  world.b->setRxStage(rx);
   bool delivered = false;
   world.b->setPacketHandler(
-      [&](packet::PacketBox, PhysLink&) { delivered = true; });
+      [&](packet::PacketBox, PhysLink&, sim::Time) { delivered = true; });
   packet::PacketBox p = smallPacket(world.a->address(), world.b->address());
   p->meta.trace_id = scope.spans().newTraceId();
   scope.spans().openRoot(p->meta.trace_id, scope.spans().intern("test"), 0);
@@ -190,13 +193,46 @@ TEST(Channel, DownAtArrivalIsMidflightDrop) {
             "link_down_midflight");
 }
 
+TEST(Channel, DownDuringReceiveHoldIsDelivered) {
+  // A 5 ms receive stage with no jitter delivers at 16.328 ms; the link
+  // fails after the frame reached the receiving NIC.
+  RxStage rx;
+  rx.latency_mean = 5 * kMillisecond;
+  EXPECT_EQ(fateOfOneFrame({{13 * kMillisecond, false}}, rx), "delivered");
+  EXPECT_EQ(fateOfOneFrame({{11 * kMillisecond, false}}, rx),
+            "link_down_midflight");
+}
+
+TEST(Channel, ReceiveStageHoldsTheFrameAfterArrival) {
+  LinkConfig config;
+  config.propagation = kMillisecond;
+  TwoNodes world(config);
+  RxStage rx;
+  rx.latency_mean = 50 * kMicrosecond;  // no jitter: exactly the mean
+  world.b->setRxStage(rx);
+  sim::Time delivered_at = -1;
+  sim::Time arrived = -1;
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&, sim::Time at) {
+    delivered_at = world.queue.now();
+    arrived = at;
+  });
+  packet::PacketBox p = smallPacket(world.a->address(), world.b->address());
+  const sim::Time ta = sim::serializationDelay(p->wireBytes(), 1e9) + kMillisecond;
+  world.link->channelFrom(world.a->id()).transmit(std::move(p));
+  world.queue.run();
+  EXPECT_EQ(arrived, ta);
+  EXPECT_EQ(delivered_at, ta + 50 * kMicrosecond);
+  EXPECT_EQ(world.link->channelFrom(world.a->id()).longestHold(),
+            50 * kMicrosecond);
+}
+
 TEST(Channel, SetConfigAppliesToWaitingFrames) {
   LinkConfig config;
   config.bandwidth_bps = 8e6;  // 1 byte per microsecond
   TwoNodes world(config);
   std::vector<sim::Time> deliveries;
   world.b->setPacketHandler(
-      [&](packet::PacketBox, PhysLink&) { deliveries.push_back(world.queue.now()); });
+      [&](packet::PacketBox, PhysLink&, sim::Time) { deliveries.push_back(world.queue.now()); });
   auto& channel = world.link->channelFrom(world.a->id());
   std::size_t wire = 0;
   for (int i = 0; i < 3; ++i) {
@@ -221,7 +257,7 @@ TEST(Channel, IdleWireCostsOneEventPerFrame) {
   config.propagation = kMillisecond;
   TwoNodes world(config);
   int delivered = 0;
-  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&) { ++delivered; });
+  world.b->setPacketHandler([&](packet::PacketBox, PhysLink&, sim::Time) { ++delivered; });
   auto& channel = world.link->channelFrom(world.a->id());
   const int kFrames = 10;
 
@@ -274,6 +310,39 @@ TEST(PhysLink, TransitionLogHoldsOnlyOnePropagationWindow) {
   world.queue.run();
   EXPECT_LE(world.link->transitions().size(), 11u);
   EXPECT_EQ(world.link->transitions().back(), kSecond);
+}
+
+TEST(PhysLink, TransitionLogCoversReceiveHold) {
+  // Ten back-to-back frames (166 us each) into a receive stage that adds
+  // a 2 ms spike to every frame: the spikes stack, so the last frame is
+  // delivered about 19 ms after it arrived at ~2.7 ms.
+  LinkConfig config;
+  config.bandwidth_bps = 8e6;
+  config.propagation = kMillisecond;
+  TwoNodes world(config);
+  RxStage rx;
+  rx.spike_probability = 1.0;
+  rx.spike_min = 2 * kMillisecond;
+  rx.spike_max = 2 * kMillisecond;
+  world.b->setRxStage(rx);
+  int delivered = 0;
+  world.b->setPacketHandler(
+      [&](packet::PacketBox, PhysLink&, sim::Time) { ++delivered; });
+  auto& channel = world.link->channelFrom(world.a->id());
+  for (int i = 0; i < 10; ++i) {
+    channel.transmit(smallPacket(world.a->address(), world.b->address()));
+  }
+  // A down-up pair after every frame has arrived: it decides no frame's
+  // fate, but frames still held read the log across it.  Pruning at
+  // 9 ms by propagation alone would drop the 8 ms entry and leave the
+  // held frames reading the link as down when they finished serializing.
+  world.queue.schedule(8 * kMillisecond, [&] { world.link->setUp(false); });
+  world.queue.schedule(9 * kMillisecond, [&] { world.link->setUp(true); });
+  world.queue.run();
+  EXPECT_EQ(delivered, 10);
+  EXPECT_GT(channel.longestHold(), 15 * kMillisecond);
+  EXPECT_EQ(world.link->transitions().size(), 2u);
+  EXPECT_EQ(channel.stats().down_drops, 0u);
 }
 
 struct Diamond {

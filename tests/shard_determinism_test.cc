@@ -14,13 +14,18 @@
 // canonical order; see DESIGN.md section 16.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "app/ping.h"
 #include "obs/obs.h"
 #include "obs/timeline.h"
+#include "phys/network.h"
+#include "tcpip/host_stack.h"
+#include "tcpip/stack_manager.h"
 #include "topo/worlds.h"
 
 namespace vini {
@@ -176,6 +181,82 @@ TEST(ShardDeterminism, OrderedExportsAreInTimeOrder) {
     EXPECT_EQ(timeRegressions(e.trace, 0, rows), 0u)
         << threads << " threads: trace t_ns decreases";
     EXPECT_GT(rows, 100u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// NIC receive draws: each channel into a node draws its receive latency
+// and spikes from its own stream when the frame starts serializing, on
+// the sending node's lane.
+
+struct RxDelivery {
+  std::uint32_t src = 0;
+  std::uint64_t seq = 0;
+  sim::Time at = 0;
+  bool operator==(const RxDelivery&) const = default;
+};
+
+/// Two senders flood a third node over 1 ms links, in bursts and single
+/// packets, into a receive stage with frequent spikes; returns every
+/// delivery at the receiving socket in order.
+std::vector<RxDelivery> runReceiveDraws(int threads) {
+  sim::EventQueue queue(threads);
+  phys::NetworkConfig net_config;
+  net_config.seed = 4242;
+  phys::PhysNetwork net(queue, net_config);
+  auto& a = net.addNode("a", packet::IpAddress(1, 0, 0, 1));
+  auto& b = net.addNode("b", packet::IpAddress(1, 0, 0, 2));
+  auto& c = net.addNode("c", packet::IpAddress(1, 0, 0, 3));
+  phys::LinkConfig link;
+  link.propagation = sim::kMillisecond;
+  net.addLink(a, c, link);
+  net.addLink(b, c, link);
+  tcpip::HostConfig host;
+  host.rx_spike_probability = 0.2;
+  host.rx_spike_min = 100 * sim::kMicrosecond;
+  host.rx_spike_max = 2 * sim::kMillisecond;
+  tcpip::StackManager stacks(net, host);
+  tcpip::HostStack& sc = stacks.ensure(c);
+  std::vector<RxDelivery> got;  // written on c's lane only
+  sc.openUdp(7000).setReceiveHandler([&](packet::Packet p) {
+    got.push_back({p.ip.src.value(), p.meta.app_seq, queue.now()});
+  });
+  for (phys::PhysNode* from : {&a, &b}) {
+    tcpip::HostStack& sender = stacks.ensure(*from);
+    tcpip::UdpSocket& socket = sender.openUdp(1);
+    const sim::Duration gap = from == &a ? 37 * sim::kMicrosecond
+                                         : 53 * sim::kMicrosecond;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      // Every fourth send is a burst of three.
+      const int count = i % 4 == 0 ? 3 : 1;
+      queue.schedule(static_cast<sim::Time>(i) * gap, "test.send",
+                     sender.nodeTag(), [&socket, &sc, i, count] {
+                       for (int k = 0; k < count; ++k) {
+                         packet::PacketMeta meta;
+                         meta.app_seq = i * 4 + static_cast<std::uint64_t>(k);
+                         socket.sendTo(sc.address(), 7000, 1000, meta);
+                       }
+                     });
+    }
+  }
+  // Routes are computed lazily; lanes must find them ready.
+  net.recomputeRoutes();
+  queue.finalizeSharding(net.minPropagation());
+  queue.run();
+  return got;
+}
+
+TEST(ShardDeterminism, ReceiveDrawsAreThreadCountInvariant) {
+  const std::vector<RxDelivery> one = runReceiveDraws(1);
+  ASSERT_EQ(one.size(), 2u * (300 + 75 * 2));
+  // The draws matter: deliveries spread over many distinct latencies.
+  std::vector<sim::Time> times;
+  for (const RxDelivery& d : one) times.push_back(d.at % sim::kMicrosecond);
+  std::sort(times.begin(), times.end());
+  EXPECT_GT(std::unique(times.begin(), times.end()) - times.begin(), 100);
+  for (const int threads : {2, 4}) {
+    EXPECT_EQ(runReceiveDraws(threads), one)
+        << threads << " threads: receive deliveries diverged";
   }
 }
 

@@ -2,6 +2,10 @@
 // buffered), ICMP echo, kernel forwarding, TUN devices, port capture.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <vector>
+
 #include "phys/network.h"
 #include "tcpip/host_stack.h"
 #include "tcpip/stack_manager.h"
@@ -301,6 +305,106 @@ TEST(HostStack, TraceHooksObserveTraffic) {
   world.queue.run();
   EXPECT_EQ(tx_seen, 1);
   EXPECT_EQ(rx_seen, 1);
+}
+
+// ---------------------------------------------------------------------------
+// NIC receive: the node's RxStage, applied by the channel that delivers
+
+TEST(Channel, FrameIntoAHostCostsOneEvent) {
+  // From serialization start to socket delivery, a frame into a host
+  // stack costs one event: the channel's delivery, scheduled after the
+  // receive latency, hands the packet straight to the kernel.
+  sim::EventQueue queue;
+  phys::PhysNetwork net(queue);
+  auto& a = net.addNode("a", IpAddress(1, 0, 0, 1));
+  auto& b = net.addNode("b", IpAddress(1, 0, 0, 2));
+  phys::LinkConfig config;
+  config.propagation = kMillisecond;
+  phys::PhysLink& link = net.addLink(a, b, config);
+  StackManager stacks(net);
+  stacks.ensure(a);
+  HostStack& sb = stacks.ensure(b);
+  sim::Time delivered_at = -1;
+  sb.openUdp(7000).setReceiveHandler(
+      [&](Packet) { delivered_at = queue.now(); });
+  queue.run();
+
+  const std::uint64_t before = queue.executedCount();
+  auto p = std::make_unique<Packet>(Packet::udp(a.address(), b.address(), 1,
+                                                7000, 100));
+  const sim::Time ta =
+      sim::serializationDelay(p->wireBytes(), config.bandwidth_bps) +
+      kMillisecond;
+  link.channelFrom(a.id()).transmit(std::move(p));
+  queue.run();
+  EXPECT_EQ(queue.executedCount() - before, 1u);
+  // The receive latency is at least 0.2 of its mean.
+  EXPECT_GE(delivered_at, ta + sb.config().rx_latency_mean / 5);
+}
+
+TEST(HostStack, ReceiveFifoIsPerLink) {
+  // a and b both feed c, whose receive stage adds a 1 ms spike to every
+  // packet.  A back-to-back burst on a-c stacks its spikes but stays in
+  // order; a packet on the quiet b-c link draws its own latency instead
+  // of waiting behind the burst.
+  sim::EventQueue queue;
+  phys::PhysNetwork net(queue);
+  auto& a = net.addNode("a", IpAddress(1, 0, 0, 1));
+  auto& b = net.addNode("b", IpAddress(1, 0, 0, 2));
+  auto& c = net.addNode("c", IpAddress(1, 0, 0, 3));
+  phys::LinkConfig config;
+  config.propagation = kMillisecond;
+  phys::PhysLink& ac = net.addLink(a, c, config);
+  phys::PhysLink& bc = net.addLink(b, c, config);
+  StackManager stacks(net);
+  HostConfig spiky;
+  spiky.rx_spike_probability = 1.0;
+  spiky.rx_spike_min = kMillisecond;
+  spiky.rx_spike_max = kMillisecond;
+  stacks.setConfigFor("c", spiky);
+  HostStack& sc = stacks.ensure(c);
+  struct Delivery {
+    std::uint32_t src = 0;
+    std::uint64_t seq = 0;
+    sim::Time at = 0;
+  };
+  std::vector<Delivery> got;
+  sc.openUdp(7000).setReceiveHandler([&](Packet p) {
+    got.push_back({p.ip.src.value(), p.meta.app_seq, queue.now()});
+  });
+  auto make = [&](phys::PhysNode& from, std::uint64_t seq) {
+    auto p = std::make_unique<Packet>(
+        Packet::udp(from.address(), c.address(), 1, 7000, 1000));
+    p->meta.app_seq = seq;
+    return p;
+  };
+  const int kBurst = 20;
+  for (int i = 0; i < kBurst; ++i) {
+    ac.channelFrom(a.id()).transmit(make(a, static_cast<std::uint64_t>(i)));
+  }
+  auto quiet = make(b, 0);
+  const sim::Time quiet_arrival =
+      sim::serializationDelay(quiet->wireBytes(), config.bandwidth_bps) +
+      kMillisecond;
+  bc.channelFrom(b.id()).transmit(std::move(quiet));
+  queue.run();
+
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kBurst) + 1);
+  std::uint64_t next_seq = 0;
+  sim::Time last_burst = 0;
+  sim::Time quiet_at = -1;
+  for (const Delivery& d : got) {
+    if (d.src == b.address().value()) {
+      quiet_at = d.at;
+      continue;
+    }
+    EXPECT_EQ(d.seq, next_seq++);
+    EXPECT_GT(d.at, last_burst);  // each burst packet adds its own spike
+    last_burst = d.at;
+  }
+  // Its own latency (at most 3x the mean) and its own spike.
+  EXPECT_LE(quiet_at, quiet_arrival + 3 * spiky.rx_latency_mean + kMillisecond);
+  EXPECT_GT(last_burst, quiet_at + 10 * kMillisecond);
 }
 
 TEST(StackManager, EnsureIsIdempotent) {

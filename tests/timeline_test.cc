@@ -142,6 +142,39 @@ TEST(Decompose, SegmentsSumToAppMeasuredLatency) {
   EXPECT_TRUE(saw_link);             // wire time is attributed, not a gap
 }
 
+TEST(Decompose, ReceiveHoldIsANicRxSegmentAfterPropagation) {
+  // The channel schedules a frame's delivery after the receiving NIC's
+  // latency: propagation closes at the arrival and host.nic_rx covers
+  // [arrival, delivery], so the hop still decomposes without a gap.
+  obs::ScopedObs scope;
+  auto world = deterWorld(19);
+  const auto rtts = pingAcross(*world, 1);
+  ASSERT_EQ(rtts.size(), 1u);
+
+  const obs::SpanTracker& spans = scope.spans();
+  const obs::SpanRecord* root = nullptr;
+  for (const auto& rec : spans.records()) {
+    if (rec.root && rec.outcome == obs::SpanOutcome::kDelivered) root = &rec;
+  }
+  ASSERT_NE(root, nullptr);
+  const auto segments = obs::decomposeTrace(spans, root->trace_id);
+  sim::Time cursor = root->t_open;
+  int nic_rx = 0;
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const auto& seg = segments[i];
+    EXPECT_EQ(seg.t_start, cursor);
+    cursor = seg.t_start + seg.dur;
+    if (seg.layer != "host.nic_rx") continue;
+    ++nic_rx;
+    EXPECT_GT(seg.dur, 0);
+    ASSERT_GT(i, 0u);
+    EXPECT_EQ(segments[i - 1].layer, "phys.propagation");
+  }
+  EXPECT_EQ(cursor, root->t_close);
+  // Src -> Fwdr -> Sink and back: four wire hops into a host.
+  EXPECT_EQ(nic_rx, 4);
+}
+
 // ---------------------------------------------------------------------------
 // Timeline events and determinism
 
